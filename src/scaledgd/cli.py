@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .experiments import (PRESETS, SweepSpec, emit_csv, preset_spec, run_sweep,
-                          TRAJECTORY_COLUMNS)
+from .experiments import (DAMPING_FRAC, PRESETS, SweepSpec, emit_csv,
+                          preset_spec, run_sweep, TRAJECTORY_COLUMNS)
 from .problem import NoiseModel, dense_m_star, make_ground_truth
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator, measure
@@ -135,12 +135,14 @@ def cmd_run(args) -> int:
     noise = NoiseModel(sigma=args.sigma, seed=derive_seed(args.seed, _TAG_NOISE))
     y = measure(op, gt, noise).y
 
+    # an estimated lambda uses the sweeps' damping fraction
+    damping_frac = None
     if args.lam is not None:
         lam = args.lam
-    elif args.lambda_auto is not None:
-        lam = estimate_damping(op, y, args.lambda_auto).lambda_hat
-    elif args.algorithm == "scaled-gd-lambda":
-        lam = estimate_damping(op, y, r_star).lambda_hat
+    elif args.lambda_auto is not None or args.algorithm == "scaled-gd-lambda":
+        damping_frac = DAMPING_FRAC
+        rank_guess = args.lambda_auto if args.lambda_auto is not None else r_star
+        lam = estimate_damping(op, y, rank_guess, c_frac=damping_frac).lambda_hat
     else:
         lam = 0.0
 
@@ -171,7 +173,8 @@ def cmd_run(args) -> int:
         "kind": "trajectory", "algorithm": args.algorithm, "n": n,
         "r_star": r_star, "r": settings["r"], "kappa": kappa, "m": op.m,
         "operator": args.operator, "backend": args.backend,
-        "eta": settings["eta"], "lambda": lam, "alpha": settings["alpha"],
+        "eta": settings["eta"], "lambda": lam, "damping_frac": damping_frac,
+        "alpha": settings["alpha"],
         "init": args.init, "sigma": args.sigma, "seed": args.seed,
         "target": target, "patience": patience,
         "improve_tol": args.improve_tol, "max_iters": settings["max_iters"],
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float,
                    help="fixed damping parameter")
     p.add_argument("--lambda-auto", type=int, metavar="RANK_GUESS",
-                   help="estimate damping from the top RANK_GUESS eigenvalues of A*(y)")
+                   help="estimate damping as a fraction (the sweeps' "
+                        f"{DAMPING_FRAC}) of the RANK_GUESS-th eigenvalue of A*(y)")
     p.add_argument("--alpha", type=float, help="initialization scale (default 1e-27)")
     p.add_argument("--init", choices=("small-random", "spectral"),
                    default="small-random", help="initialization (default small-random)")
@@ -345,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostics", action="store_true",
                    help="record phase metrics at every record point")
     p.add_argument("--checkpoints", help="save factor checkpoints to this .npz")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reduction width cap; results are identical for any value (default 1)")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=cmd_run)
 
@@ -355,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value sweep config file")
     p.add_argument("--trials", type=int, help="independent seeds per point")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reduction width cap; results are identical for any value (default 1)")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

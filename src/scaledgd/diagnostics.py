@@ -57,12 +57,18 @@ class DeltaNorm:
     tol: float
 
 
-def decompose_iterate(x: np.ndarray, gt: GroundTruth) -> IterateDecomposition:
-    """Split an iterate into signal / misalignment / overparameterization blocks."""
+def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
+                      u_perp: np.ndarray | None = None) -> IterateDecomposition:
+    """Split an iterate into signal / misalignment / overparameterization blocks.
+
+    u_perp, when given, must be orthonormal_complement(gt.u_star); a caller
+    that decomposes many iterates of one truth computes it once.
+    """
     n, r = x.shape
     r_star = gt.r_star
     u_star = gt.u_star
-    u_perp = orthonormal_complement(u_star)
+    if u_perp is None:
+        u_perp = orthonormal_complement(u_star)
     s = u_star.T @ x                       # r* x r
     n_blk = u_perp.T @ x                   # (n - r*) x r
     u, sv, vt = np.linalg.svd(s, full_matrices=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,11 @@ from .solver import (DivergenceError, SolverConfig, StoppingRule, Trajectory,
                      estimate_damping, run)
 
 SENTINEL_ITERS = -1  # target never reached
+# estimate_damping's c_frac for an estimated lambda, in the sweeps and in
+# `scaledgd run`.  The damping theory tolerates underestimating sigma_min^2 by
+# 100x but not overestimating it, and the rank_guess-th eigenvalue of A*(y)
+# sits on the sensing noise floor at m = 10 n r*.
+DAMPING_FRAC = 0.05
 
 # tags for per-run seed derivation
 _TAG_TRUTH, _TAG_OPERATOR, _TAG_INIT, _TAG_NOISE = 1, 2, 3, 4
@@ -48,11 +53,7 @@ class SweepSpec:
     alpha: float = 1e-27  # target-derived default: epsilon^3 at epsilon = 1e-9
     sigma: float = 0.0
     lam: float | str = "auto"         # "auto" = estimate_damping(rank_guess=r_star)
-    damping_frac: float = 0.05        # c_frac for "auto"; the damping theory
-                                      # tolerates underestimating sigma_min^2 by
-                                      # 100x but not overestimating it, and the
-                                      # rank_guess-th eigenvalue of A*(y) sits on
-                                      # the sensing noise floor at m = 10 n r*
+    damping_frac: float = DAMPING_FRAC  # c_frac for "auto"
     target_rel_err: float | None = 1e-9
     patience: int | None = None
     improve_tol: float = 1e-3
@@ -92,6 +93,8 @@ class ExperimentRecord:
     final_rel_err_op: float
     stop_reason: str
     wall_ms: float
+    # a "diverged" row keeps the TrajectoryRecords made before the divergence
+    partial_records: tuple = field(default=(), repr=False, compare=False)
 
 
 def minimax_reference(sigma: float, n: int, r_star: int) -> float:
@@ -204,12 +207,26 @@ def _record_from(traj: Trajectory, spec, axis_value, trial, algorithm,
 
 
 def _timed_run(op, y, config, oracle):
+    """(trajectory, wall ms, ()) or, when the run diverges, (None, wall ms,
+    the records made before the divergence)."""
     start = time.perf_counter()
     try:
         traj = run(op, y, config, oracle=oracle)
-        return traj, (time.perf_counter() - start) * 1e3, None
+        return traj, (time.perf_counter() - start) * 1e3, ()
     except DivergenceError as exc:
-        return None, (time.perf_counter() - start) * 1e3, exc
+        return None, (time.perf_counter() - start) * 1e3, exc.records
+
+
+def _run_row(spec, axis_value, trial, algorithm, op, y, config,
+             oracle) -> ExperimentRecord:
+    """Run one configuration and make its sweep row; a run that diverges gives
+    a "diverged" row with NaN errors and its partial records."""
+    traj, ms, partial = _timed_run(op, y, config, oracle)
+    if traj is None:
+        return ExperimentRecord(spec.axis, float(axis_value), trial, algorithm,
+                                SENTINEL_ITERS, np.nan, np.nan, "diverged", ms,
+                                partial_records=partial)
+    return _record_from(traj, spec, axis_value, trial, algorithm, ms)
 
 
 # -- the four sweeps --------------------------------------------------------------
@@ -233,14 +250,8 @@ def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:
                                max_iters=spec.max_iters, stop=_stopping(spec),
                                seed_init=seeds[_TAG_INIT],
                                record_every=spec.record_every)
-            traj, ms, err = _timed_run(op, y, cfg, gt)
-            if err is not None:
-                records.append(ExperimentRecord(spec.axis, kappa, trial,
-                                                "scaled_gd_lambda", SENTINEL_ITERS,
-                                                np.nan, np.nan, "diverged", ms))
-            else:
-                records.append(_record_from(traj, spec, kappa, trial,
-                                            "scaled_gd_lambda", ms))
+            records.append(_run_row(spec, kappa, trial, "scaled_gd_lambda",
+                                    op, y, cfg, gt))
 
             gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
                 else spec.max_iters
@@ -248,13 +259,7 @@ def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:
             for eta in spec.gd_tuning:
                 gd_cfg = replace(cfg, algorithm="gd", lam=0.0, eta=eta,
                                  max_iters=gd_iters)
-                traj, ms, err = _timed_run(op, y, gd_cfg, gt)
-                if err is not None:
-                    rec = ExperimentRecord(spec.axis, kappa, trial, "gd",
-                                           SENTINEL_ITERS, np.nan, np.nan,
-                                           "diverged", ms)
-                else:
-                    rec = _record_from(traj, spec, kappa, trial, "gd", ms)
+                rec = _run_row(spec, kappa, trial, "gd", op, y, gd_cfg, gt)
                 if best is None or _gd_rank_key(rec) < _gd_rank_key(best):
                     best = rec
             if best is not None:  # empty tuning grid skips the GD baseline
@@ -286,14 +291,8 @@ def sweep_init_scale(spec: SweepSpec) -> list[ExperimentRecord]:
                                max_iters=spec.max_iters, stop=stop,
                                seed_init=seeds[_TAG_INIT],
                                record_every=spec.record_every)
-            traj, ms, err = _timed_run(op, y, cfg, gt)
-            if err is not None:
-                records.append(ExperimentRecord(spec.axis, alpha, trial,
-                                                "scaled_gd_lambda", SENTINEL_ITERS,
-                                                np.nan, np.nan, "diverged", ms))
-            else:
-                records.append(_record_from(traj, spec, alpha, trial,
-                                            "scaled_gd_lambda", ms))
+            records.append(_run_row(spec, alpha, trial, "scaled_gd_lambda",
+                                    op, y, cfg, gt))
     return records
 
 
@@ -320,22 +319,10 @@ def sweep_overparam_rank(spec: SweepSpec) -> list[ExperimentRecord]:
                                max_iters=spec.max_iters, stop=_stopping(spec),
                                seed_init=seeds[_TAG_INIT],
                                record_every=spec.record_every)
-            traj, ms, err = _timed_run(op, y, cfg, gt)
-            if err is not None:
-                records.append(ExperimentRecord(spec.axis, r, trial,
-                                                "scaled_gd_lambda", SENTINEL_ITERS,
-                                                np.nan, np.nan, "diverged", ms))
-            else:
-                records.append(_record_from(traj, spec, r, trial,
-                                            "scaled_gd_lambda", ms))
+            records.append(_run_row(spec, r, trial, "scaled_gd_lambda",
+                                    op, y, cfg, gt))
             prec_cfg = replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral")
-            traj, ms, err = _timed_run(op, y, prec_cfg, gt)
-            if err is not None:
-                records.append(ExperimentRecord(spec.axis, r, trial, "prec_gd",
-                                                SENTINEL_ITERS, np.nan, np.nan,
-                                                "diverged", ms))
-            else:
-                records.append(_record_from(traj, spec, r, trial, "prec_gd", ms))
+            records.append(_run_row(spec, r, trial, "prec_gd", op, y, prec_cfg, gt))
     return records
 
 
@@ -353,14 +340,8 @@ def sweep_noise(spec: SweepSpec) -> list[ExperimentRecord]:
                                max_iters=spec.max_iters, stop=_stopping(spec),
                                seed_init=seeds[_TAG_INIT],
                                record_every=spec.record_every)
-            traj, ms, err = _timed_run(op, y, cfg, gt)
-            if err is not None:
-                records.append(ExperimentRecord(spec.axis, sigma, trial,
-                                                "scaled_gd_lambda", SENTINEL_ITERS,
-                                                np.nan, np.nan, "diverged", ms))
-            else:
-                records.append(_record_from(traj, spec, sigma, trial,
-                                            "scaled_gd_lambda", ms))
+            records.append(_run_row(spec, sigma, trial, "scaled_gd_lambda",
+                                    op, y, cfg, gt))
     return records
 
 

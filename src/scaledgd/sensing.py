@@ -122,6 +122,13 @@ class SensingOperator:
             acc += self._rows(lo, hi).T @ y[lo:hi]
         return self.unsvec(acc)
 
+    def residual_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f, A*(A(X X^T) - y)) for f = 1/4 ||A(X X^T) - y||^2 at the n x r
+        factor X; the matrix times X is the gradient of f.  One forward and
+        one adjoint pass."""
+        resid = self.apply_forward(x @ x.T) - y
+        return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
+
     def apply_normal(self, mat: np.ndarray) -> np.ndarray:
         """A*A(mat); one fused pass per row chunk for the streamed backend."""
         if self.kind == "identity":

@@ -9,8 +9,8 @@ gradient:
     scaled_gd_lambda:  X' = X - eta * G (X^T X + lambda I)^{-1}, fixed lambda
     prec_gd:           X' = X - eta * G (X^T X + sqrt(f(X)) I)^{-1}
 
-where G = (A*A(X X^T) - A*(y)) X.  The noiseless case is just the sigma = 0
-special case: the update only ever sees A*(y).
+where G = A*(A(X X^T) - y) X.  The noiseless case is just the sigma = 0
+special case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import rng
 from .problem import GroundTruth, dense_m_star
@@ -36,7 +35,13 @@ class PreconditionerError(np.linalg.LinAlgError):
 
 
 class DivergenceError(RuntimeError):
-    pass
+    """The loss blew up at iteration t; records holds the TrajectoryRecords
+    made before it."""
+
+    def __init__(self, message: str, records: tuple = (), t: int = -1):
+        super().__init__(message)
+        self.records = tuple(records)
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -122,23 +127,23 @@ class Trajectory:
 # -- loss / gradient / steps --------------------------------------------------
 
 def loss(op: SensingOperator, y: np.ndarray, x: np.ndarray) -> float:
-    resid = op.apply_forward(x @ x.T) - y
-    return 0.25 * float(resid @ resid)
+    return op.residual_grad(x, y)[0]
 
 
 def gradient(op: SensingOperator, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (op.apply_normal(x @ x.T) - op.apply_adjoint(y)) @ x
+    return op.residual_grad(x, y)[1] @ x
 
 
 def _solve_preconditioner(x: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
-    """grad @ (x^T x + lam I)^{-1} via a Cholesky solve of the r x r system."""
+    """grad @ (x^T x + lam I)^{-1}: Cholesky factor L of the r x r system, then
+    two solves, L z = grad^T and L^T w = z."""
     r = x.shape[1]
     system = x.T @ x + lam * np.eye(r)
     try:
-        factor = cho_factor(system, lower=True)
+        chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError as exc:
         raise PreconditionerError("preconditioner singular; use lambda > 0") from exc
-    return cho_solve(factor, grad.T).T
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad.T)).T
 
 
 def step_gd(x: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -224,10 +229,11 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     relative errors against M* are recorded and the target stopping rule is
     active.  Diagnostics (phase metrics) are computed only at record points
     and only on request; they need a GroundTruth oracle.  checkpoint_hook,
-    when given, is called as hook(t, x) at every record point.
+    when given, is called as hook(t, x) at every record point.  A loss that
+    blows up raises DivergenceError carrying the records made so far.
     """
-    from .diagnostics import phase_metrics, decompose_iterate, reconstruction_error
-    from .linalg import spectral_norm
+    from .diagnostics import phase_metrics, decompose_iterate
+    from .linalg import orthonormal_complement, spectral_norm
 
     stop = config.stop
     if stop.target_rel_err is not None and oracle is None:
@@ -238,7 +244,7 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     x = _make_x0(op, y, config)
     if x.shape != (op.n, config.r):
         raise ValueError(f"x0 shape {x.shape} does not match (n, r)")
-    ay = op.apply_adjoint(y)
+    u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
 
     m_star = dense_m_star(oracle) if oracle is not None else None
     if oracle is not None:
@@ -257,21 +263,18 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     cur_loss = np.nan
 
     for t in range(config.max_iters + 1):
-        mt = x @ x.T
-        z = op.apply_forward(mt)
-        resid = z - y
-        cur_loss = 0.25 * float(resid @ resid)
+        cur_loss, w = op.residual_grad(x, y)
         if loss0 is None:
             loss0 = cur_loss
         if not np.isfinite(cur_loss) or (loss0 > 0 and cur_loss > DIVERGENCE_FACTOR * loss0):
             raise DivergenceError(
                 f"loss {cur_loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial "
-                f"loss {loss0:.3e} at iteration {t}")
+                f"loss {loss0:.3e} at iteration {t}", records=records, t=t)
 
         rel_fro = rel_op = None
         if oracle is not None:
-            rdiff = mt - m_star
-            rel_fro = float(np.linalg.norm(rdiff)) / norm_m
+            mt = x @ x.T
+            rel_fro = float(np.linalg.norm(mt - m_star)) / norm_m
 
         at_record = (t % config.record_every == 0) or t == config.max_iters
         if at_record:
@@ -281,7 +284,8 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
             if oracle is not None:
                 rel_op = spectral_norm(mt - m_star)[0] / norm_m
             if collect_diagnostics:
-                metrics = phase_metrics(decompose_iterate(x, oracle), oracle, config.lam)
+                metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=u_perp),
+                                        oracle, config.lam)
             records.append(TrajectoryRecord(
                 t=t, loss=cur_loss, rel_err_fro=rel_fro, rel_err_op=rel_op,
                 metrics=metrics,
@@ -302,7 +306,7 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
             stop_reason = "max_iters"
             break
 
-        grad = (op.apply_adjoint(z) - ay) @ x
+        grad = w @ x
         if config.algorithm == "gd":
             x = step_gd(x, grad, config.eta)
         elif config.algorithm == "scaled_gd":
@@ -321,7 +325,8 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
             rel_op = spectral_norm(x @ x.T - m_star)[0] / norm_m
         metrics = None
         if collect_diagnostics:
-            metrics = phase_metrics(decompose_iterate(x, oracle), oracle, config.lam)
+            metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=u_perp),
+                                    oracle, config.lam)
         records.append(TrajectoryRecord(t=t, loss=cur_loss, rel_err_fro=rel_fro,
                                         rel_err_op=rel_op, metrics=metrics,
                                         elapsed_ms=elapsed / 1e6))

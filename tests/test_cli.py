@@ -6,6 +6,10 @@ import pytest
 from scaledgd import __version__
 from scaledgd.cli import main
 from scaledgd.experiments import SWEEP_COLUMNS, TRAJECTORY_COLUMNS
+from scaledgd.problem import NoiseModel, make_ground_truth
+from scaledgd.rng import derive_seed
+from scaledgd.sensing import gaussian_operator, measure
+from scaledgd.solver import estimate_damping
 
 
 def _read_csv(path):
@@ -83,6 +87,20 @@ def test_run_lambda_flags_conflict(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--lambda-auto", "2"]])
+def test_run_estimates_lambda_with_sweep_fraction(tmp_path, extra):
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--n", "15", "--r-star", "2", "--r", "3", "--kappa", "3",
+                 "--alpha", "1e-9", "--max-iters", "5", "--patience", "50",
+                 "--seed", "4", "--out", out] + extra) == 0
+    meta = _read_meta(out + ".meta")
+    gt = make_ground_truth(15, 2, 3.0, derive_seed(4, 1))
+    op = gaussian_operator(15, 10 * 15 * 2, derive_seed(4, 2))
+    y = measure(op, gt, NoiseModel(seed=derive_seed(4, 4))).y
+    assert float(meta["damping_frac"]) == 0.05
+    assert float(meta["lambda"]) == estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
 
 
 def test_run_with_instance_and_checkpoints_then_diag(tmp_path):

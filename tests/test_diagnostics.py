@@ -201,3 +201,14 @@ def test_phase_metrics_along_trajectory():
         assert b >= a - 1e-3
     assert traj.records[-1].metrics.gamma_norm <= 1e-6
     assert traj.records[-1].metrics.overparam_norm <= 1e-3
+
+
+def test_decompose_with_precomputed_complement_is_identical():
+    gen = np.random.default_rng(30)
+    gt = make_ground_truth(25, 3, 4, seed=31)
+    u_perp = orthonormal_complement(gt.u_star)
+    for r in (3, 5):
+        x = gen.normal(size=(25, r))
+        a = phase_metrics(decompose_iterate(x, gt), gt, 0.05)
+        b = phase_metrics(decompose_iterate(x, gt, u_perp=u_perp), gt, 0.05)
+        assert a == b

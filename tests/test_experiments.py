@@ -210,3 +210,19 @@ def test_emit_csv_empty_records(tmp_path):
 def test_emit_csv_bad_path():
     with pytest.raises(OSError):
         emit_csv([], "/nonexistent-dir-xyz/out.csv")
+
+
+def test_diverged_row_keeps_partial_records():
+    # GD at eta = 50 blows up; its row keeps the sentinel fields and the
+    # records made before the divergence
+    spec = SweepSpec(axis="kappa", values=(2,), n=10, gd_tuning=(50.0,),
+                     max_iters=200, trials=1)
+    scaled, gd = run_sweep(spec)
+    assert scaled.stop_reason == "target_reached" and scaled.partial_records == ()
+    assert gd.stop_reason == "diverged"
+    assert gd.iters_to_target == SENTINEL_ITERS
+    assert np.isnan(gd.final_rel_err_fro) and np.isnan(gd.final_rel_err_op)
+    ts = [rec.t for rec in gd.partial_records]
+    assert ts and ts == list(range(len(ts)))
+    assert all(np.isfinite(rec.loss) and np.isfinite(rec.rel_err_fro)
+               for rec in gd.partial_records)

@@ -97,6 +97,20 @@ def test_normal_is_adjoint_of_forward():
         assert np.abs(op.apply_normal(m) - expect).max() <= 1e-12
 
 
+def test_residual_grad_matches_normal_form():
+    gen = np.random.default_rng(9)
+    for backend in ("dense", "streamed"):
+        op = gaussian_operator(7, 30, seed=4, backend=backend)
+        x = gen.normal(size=(7, 3))
+        y = gen.normal(size=30)
+        f, w = op.residual_grad(x, y)
+        resid = op.apply_forward(x @ x.T) - y
+        assert f == 0.25 * float(resid @ resid)
+        expect = op.apply_normal(x @ x.T) - op.apply_adjoint(y)
+        assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert np.abs(w - w.T).max() == 0.0
+
+
 def test_identity_operator():
     op = identity_operator(2)
     m = np.array([[1.0, 2.0], [2.0, 3.0]])

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import (DivergenceError, PreconditionerError, SolverConfig,
-                             StoppingRule, estimate_damping, gradient, loss,
-                             random_init, run, spectral_init, step_gd,
-                             step_prec_gd, step_scaled_gd,
-                             step_scaled_gd_lambda)
+                             StoppingRule, _solve_preconditioner,
+                             estimate_damping, gradient, loss, random_init, run,
+                             spectral_init, step_gd, step_prec_gd,
+                             step_scaled_gd, step_scaled_gd_lambda)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _scalar_setup():
@@ -217,8 +224,16 @@ def test_divergence_guard():
     y = measure(op, gt).y
     cfg = SolverConfig(algorithm="gd", r=2, eta=50.0, alpha=0.5,
                        max_iters=200, stop=StoppingRule(patience=500))
-    with pytest.raises(DivergenceError):
-        run(op, y, cfg)
+    with pytest.raises(DivergenceError) as info:
+        run(op, y, cfg, oracle=gt)
+    # the records made before the divergence survive it
+    records = info.value.records
+    assert records
+    ts = [rec.t for rec in records]
+    assert ts == sorted(set(ts)) and ts[-1] < info.value.t
+    for rec in records:
+        assert np.isfinite(rec.loss) and np.isfinite(rec.rel_err_fro)
+        assert np.isfinite(rec.rel_err_op)
 
 
 def test_preconditioner_singularity():
@@ -229,6 +244,39 @@ def test_preconditioner_singularity():
         step_scaled_gd(x, g, 0.1)
     # positive damping repairs it
     step_scaled_gd_lambda(x, g, 0.1, 1e-3)
+
+
+def test_solve_preconditioner_matches_dense_solve():
+    gen = np.random.default_rng(12)
+    for r in (1, 5, 20):
+        x = gen.normal(size=(60, r))
+        g = gen.normal(size=(60, r))
+        for lam in (0.0, 0.05):
+            got = _solve_preconditioner(x, g, lam)
+            want = np.linalg.solve(x.T @ x + lam * np.eye(r), g.T).T
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solvers_run_without_scipy():
+    # the package, ScaledGD(lambda) and PrecGD included, needs numpy only
+    code = (
+        "import sys\n"
+        "from scaledgd import (SolverConfig, StoppingRule, gaussian_operator,\n"
+        "                      make_ground_truth, measure, run)\n"
+        "gt = make_ground_truth(10, 2, 2, seed=1)\n"
+        "op = gaussian_operator(10, 200, seed=2)\n"
+        "y = measure(op, gt).y\n"
+        "stop = StoppingRule(patience=100)\n"
+        "for alg, lam, init in (('scaled_gd_lambda', 0.01, 'small_random'),\n"
+        "                       ('prec_gd', 0.0, 'spectral')):\n"
+        "    cfg = SolverConfig(algorithm=alg, r=4, eta=0.3, lam=lam, init=init,\n"
+        "                       max_iters=3, stop=stop)\n"
+        "    assert run(op, y, cfg).final_state.t == 3\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_validation():
