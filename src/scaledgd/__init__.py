@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .problem import (ApproxTruth, GroundTruth, NoiseModel, dense_m_star,
                       make_approx_truth, make_ground_truth)
 from .sensing import (Measurements, MemoryCapError, RipEstimate, SensingOperator,
-                      apply_adjoint, apply_forward, apply_normal,
                       estimate_rip_constant, gaussian_operator,
                       identity_operator, measure)
 from .solver import (ALGORITHMS, DampingEstimate, DivergenceError, IterateState,

@@ -14,24 +14,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .experiments import (DAMPING_FRAC, PRESETS, SweepSpec, emit_csv,
-                          preset_spec, run_sweep, TRAJECTORY_COLUMNS)
+from .experiments import (DAMPING_FRAC, PRESETS, TAG_INIT, TAG_NOISE,
+                          TAG_OPERATOR, TAG_TRUTH, SweepSpec, emit_csv,
+                          preset_spec, run_sweep)
 from .problem import NoiseModel, dense_m_star, make_ground_truth
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator, measure
-from .solver import SolverConfig, StoppingRule, estimate_damping, run
+from .solver import (SolverConfig, StoppingRule, Trajectory,
+                     TrajectoryRecord, estimate_damping, run)
 
 INSTANCE_FORMAT_VERSION = 1
-
-_TAG_TRUTH, _TAG_OPERATOR, _TAG_INIT, _TAG_NOISE = 1, 2, 3, 4
-
-# single-run presets: paper-scale and desk-scale problem geometry
-RUN_PRESETS = {
-    "paper-fig1": dict(n=150, r_star=3, r=5, eta=0.3, alpha=1e-27,
-                       target=1e-9, max_iters=2000),
-    "ci-small": dict(n=60, r_star=3, r=5, eta=0.3, alpha=1e-27,
-                     target=1e-9, max_iters=1500),
-}
 
 
 class CliError(ValueError):
@@ -97,17 +89,21 @@ def _load_instance(meta_path: str):
 
 
 def _resolve_run_settings(args) -> dict:
-    settings = dict(RUN_PRESETS.get(args.preset, {})) if args.preset else {}
-    if args.preset and args.preset not in RUN_PRESETS:
-        raise CliError(f"unknown run preset {args.preset!r}; "
-                       f"choose from {sorted(RUN_PRESETS)}")
-    for key in ("n", "r_star", "r", "eta", "alpha", "target", "max_iters"):
+    """Defaults, then a sweep preset's geometry, step size, init scale,
+    stopping rule and damping fraction, then the flags."""
+    settings = dict(n=60, r_star=3, r=5, eta=0.3, alpha=1e-27, target=None,
+                    patience=None, max_iters=1500, damping_frac=DAMPING_FRAC)
+    if args.preset:
+        spec = preset_spec(args.preset)
+        settings.update(n=spec.n, r_star=spec.r_star, r=spec.r, eta=spec.eta,
+                        alpha=spec.alpha, target=spec.target_rel_err,
+                        patience=spec.patience, max_iters=spec.max_iters,
+                        damping_frac=spec.damping_frac)
+    for key in ("n", "r_star", "r", "eta", "alpha", "target", "patience",
+                "max_iters"):
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    for key, default in (("n", 60), ("r_star", 3), ("r", 5), ("eta", 0.3),
-                         ("alpha", 1e-27), ("target", None), ("max_iters", 1500)):
-        settings.setdefault(key, default)
     return settings
 
 
@@ -123,16 +119,16 @@ def cmd_run(args) -> int:
     else:
         kappa = args.kappa if args.kappa is not None else 2.0
         gt = make_ground_truth(settings["n"], settings["r_star"], kappa,
-                               derive_seed(args.seed, _TAG_TRUTH))
+                               derive_seed(args.seed, TAG_TRUTH))
 
     n, r_star = settings["n"], settings["r_star"]
     m = args.m if args.m is not None else 10 * n * r_star
     if args.operator == "identity":
         op = identity_operator(n)
     else:
-        op = gaussian_operator(n, m, derive_seed(args.seed, _TAG_OPERATOR),
+        op = gaussian_operator(n, m, derive_seed(args.seed, TAG_OPERATOR),
                                backend=args.backend)
-    noise = NoiseModel(sigma=args.sigma, seed=derive_seed(args.seed, _TAG_NOISE))
+    noise = NoiseModel(sigma=args.sigma, seed=derive_seed(args.seed, TAG_NOISE))
     y = measure(op, gt, noise).y
 
     # an estimated lambda uses the sweeps' damping fraction
@@ -140,14 +136,14 @@ def cmd_run(args) -> int:
     if args.lam is not None:
         lam = args.lam
     elif args.lambda_auto is not None or args.algorithm == "scaled-gd-lambda":
-        damping_frac = DAMPING_FRAC
+        damping_frac = settings["damping_frac"]
         rank_guess = args.lambda_auto if args.lambda_auto is not None else r_star
         lam = estimate_damping(op, y, rank_guess, c_frac=damping_frac).lambda_hat
     else:
         lam = 0.0
 
     algorithm = args.algorithm.replace("-", "_")
-    patience = args.patience
+    patience = settings["patience"]
     target = settings["target"]
     if target is None and patience is None:
         patience = 100
@@ -157,7 +153,7 @@ def cmd_run(args) -> int:
                           eta=settings["eta"], lam=lam, alpha=settings["alpha"],
                           init=args.init.replace("-", "_"),
                           max_iters=settings["max_iters"], stop=stop,
-                          seed_init=derive_seed(args.seed, _TAG_INIT),
+                          seed_init=derive_seed(args.seed, TAG_INIT),
                           record_every=args.record_every)
 
     checkpoints = []
@@ -194,8 +190,8 @@ def cmd_run(args) -> int:
 
 _SWEEP_INT_KEYS = {"n", "r_star", "r", "max_iters", "gd_max_iters", "trials",
                    "master_seed", "patience", "record_every"}
-_SWEEP_FLOAT_KEYS = {"kappa", "eta", "alpha", "sigma", "target_rel_err",
-                     "improve_tol"}
+_SWEEP_FLOAT_KEYS = {"kappa", "eta", "alpha", "sigma", "damping_frac",
+                     "target_rel_err", "improve_tol"}
 
 
 def _sweep_spec_from_config(raw: dict) -> SweepSpec:
@@ -249,25 +245,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_diag(args) -> int:
     from .diagnostics import decompose_iterate, phase_metrics, reconstruction_error
-    import csv as _csv
 
     gt = _load_instance(args.instance)
     data = np.load(args.checkpoints)
     iters = data["iters"]
-    with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for t in iters:
-            x = data[f"x_{int(t):08d}"]
-            dec = decompose_iterate(x, gt)
-            met = phase_metrics(dec, gt, args.lam)
-            rel_fro, rel_op = reconstruction_error(x, gt)
-            writer.writerow([int(t), "", format(rel_fro, ".16e"),
-                             format(rel_op, ".16e"),
-                             format(met.sigma_min_scaled, ".16e"),
-                             format(met.misalign, ".16e"),
-                             format(met.gamma_norm, ".16e"),
-                             format(met.overparam_norm, ".16e"), ""])
+    records = []
+    for t in iters:
+        x = data[f"x_{int(t):08d}"]
+        rel_fro, rel_op = reconstruction_error(x, gt)
+        # the loss and the elapsed time are not reconstructible from checkpoints
+        records.append(TrajectoryRecord(
+            t=int(t), loss=None, rel_err_fro=rel_fro, rel_err_op=rel_op,
+            metrics=phase_metrics(decompose_iterate(x, gt), gt, args.lam),
+            elapsed_ms=None))
+    emit_csv(Trajectory(records=tuple(records), stop_reason="replayed",
+                        final_state=None), args.out)
     _write_sidecar(args.out, {"kind": "diagnostics", "instance": args.instance,
                               "checkpoints": args.checkpoints, "lambda": args.lam,
                               "version": __version__})
@@ -317,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="scaled-gd-lambda",
                    choices=("scaled-gd-lambda", "gd", "scaled-gd", "prec-gd"),
                    help="solver (default scaled-gd-lambda)")
-    p.add_argument("--preset", help="settings preset: " + ", ".join(sorted(RUN_PRESETS)))
+    p.add_argument("--preset", help="take the settings of a sweep preset: "
+                   + ", ".join(sorted(PRESETS)))
     p.add_argument("--instance", help="instance .meta file from `gen`")
     p.add_argument("--n", type=int, help="ambient dimension (default 60)")
     p.add_argument("--r-star", type=int, help="true rank (default 3)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import fix_sv_signs, orthonormal_complement, spectral_norm
-from .problem import ApproxTruth, GroundTruth, dense_m_star
+from .problem import GroundTruth, dense_m_star
 from .sensing import SensingOperator
 
 DELTA_DENSE_GUARD = 2000
@@ -109,12 +109,8 @@ def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
 
 def reconstruction_error(x: np.ndarray, truth) -> tuple[float, float]:
     """(Frobenius, spectral) error of X X^T against M*, relative to ||M*||."""
-    m_star = dense_m_star(truth)
-    if isinstance(truth, ApproxTruth):
-        norm_m = max(truth.base.spectral_norm_m(), truth.tail_spectral_norm())
-    else:
-        norm_m = truth.spectral_norm_m()
-    resid = x @ x.T - m_star
+    norm_m = truth.spectral_norm_m()
+    resid = x @ x.T - dense_m_star(truth)
     rel_fro = float(np.linalg.norm(resid)) / norm_m
     rel_op = spectral_norm(resid)[0] / norm_m
     return rel_fro, rel_op

@@ -28,8 +28,8 @@ SENTINEL_ITERS = -1  # target never reached
 # sits on the sensing noise floor at m = 10 n r*.
 DAMPING_FRAC = 0.05
 
-# tags for per-run seed derivation
-_TAG_TRUTH, _TAG_OPERATOR, _TAG_INIT, _TAG_NOISE = 1, 2, 3, 4
+# tags for per-run seed derivation, in the sweeps and in `scaledgd run`
+TAG_TRUTH, TAG_OPERATOR, TAG_INIT, TAG_NOISE = 1, 2, 3, 4
 
 TRAJECTORY_COLUMNS = ("iter", "loss", "rel_err_fro", "rel_err_op",
                       "sigma_min_scaled", "misalign", "gamma_norm",
@@ -161,110 +161,70 @@ def preset_spec(name: str, **overrides) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-# -- single-point runner --------------------------------------------------------
+# -- the point runner and the four sweeps -------------------------------------
 
 
-def _point_seeds(spec: SweepSpec, axis_index: int, trial: int):
-    base = derive_seed(spec.master_seed, axis_index, trial)
-    return {tag: derive_seed(base, tag)
-            for tag in (_TAG_TRUTH, _TAG_OPERATOR, _TAG_INIT, _TAG_NOISE)}
-
-
-def _build_point(spec: SweepSpec, axis_index: int, trial: int, *,
-                 kappa=None, sigma=None):
-    seeds = _point_seeds(spec, axis_index, trial)
-    kappa = spec.kappa if kappa is None else kappa
-    sigma = spec.sigma if sigma is None else sigma
-    gt = make_ground_truth(spec.n, spec.r_star, kappa, seeds[_TAG_TRUTH])
-    op = gaussian_operator(spec.n, spec.measurements, seeds[_TAG_OPERATOR],
-                           backend=spec.backend)
-    y = measure(op, gt, NoiseModel(sigma=sigma, seed=seeds[_TAG_NOISE])).y
-    return gt, op, y, seeds
-
-
-def _resolve_lambda(spec: SweepSpec, op, y) -> float:
-    if spec.lam == "auto":
-        return estimate_damping(op, y, spec.r_star,
-                                c_frac=spec.damping_frac).lambda_hat
-    return float(spec.lam)
-
-
-def _stopping(spec: SweepSpec) -> StoppingRule:
-    return StoppingRule(target_rel_err=spec.target_rel_err,
-                        patience=spec.patience, improve_tol=spec.improve_tol)
-
-
-def _record_from(traj: Trajectory, spec, axis_value, trial, algorithm,
-                 wall_ms) -> ExperimentRecord:
-    last = traj.records[-1]
-    iters = traj.final_state.t if traj.stop_reason == "target_reached" else SENTINEL_ITERS
-    return ExperimentRecord(
-        axis=spec.axis, axis_value=float(axis_value), trial=trial,
-        algorithm=algorithm, iters_to_target=iters,
-        final_rel_err_fro=last.rel_err_fro if last.rel_err_fro is not None else np.nan,
-        final_rel_err_op=last.rel_err_op if last.rel_err_op is not None else np.nan,
-        stop_reason=traj.stop_reason, wall_ms=wall_ms)
-
-
-def _timed_run(op, y, config, oracle):
-    """(trajectory, wall ms, ()) or, when the run diverges, (None, wall ms,
-    the records made before the divergence)."""
+def _run_row(spec, axis_value, trial, op, y, config, oracle) -> ExperimentRecord:
+    """Run one configuration and make its sweep row; a run that diverges gives
+    a "diverged" row with NaN errors and its partial records."""
+    algorithm = config.algorithm
     start = time.perf_counter()
     try:
         traj = run(op, y, config, oracle=oracle)
-        return traj, (time.perf_counter() - start) * 1e3, ()
     except DivergenceError as exc:
-        return None, (time.perf_counter() - start) * 1e3, exc.records
-
-
-def _run_row(spec, axis_value, trial, algorithm, op, y, config,
-             oracle) -> ExperimentRecord:
-    """Run one configuration and make its sweep row; a run that diverges gives
-    a "diverged" row with NaN errors and its partial records."""
-    traj, ms, partial = _timed_run(op, y, config, oracle)
-    if traj is None:
         return ExperimentRecord(spec.axis, float(axis_value), trial, algorithm,
-                                SENTINEL_ITERS, np.nan, np.nan, "diverged", ms,
-                                partial_records=partial)
-    return _record_from(traj, spec, axis_value, trial, algorithm, ms)
+                                SENTINEL_ITERS, np.nan, np.nan, "diverged",
+                                (time.perf_counter() - start) * 1e3,
+                                partial_records=exc.records)
+    ms = (time.perf_counter() - start) * 1e3
+    last = traj.records[-1]
+    iters = traj.final_state.t if traj.stop_reason == "target_reached" else SENTINEL_ITERS
+    return ExperimentRecord(spec.axis, float(axis_value), trial, algorithm, iters,
+                            last.rel_err_fro, last.rel_err_op, traj.stop_reason, ms)
 
 
-# -- the four sweeps --------------------------------------------------------------
+def _run_point(spec: SweepSpec, axis_index: int, trial: int,
+               value) -> list[ExperimentRecord]:
+    """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
+    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row.
+    The alpha axis stops on patience alone."""
+    if spec.axis == "rank_r":
+        value = int(value)
+    base = derive_seed(spec.master_seed, axis_index, trial)
+    seeds = {tag: derive_seed(base, tag)
+             for tag in (TAG_TRUTH, TAG_OPERATOR, TAG_INIT, TAG_NOISE)}
+    gt = make_ground_truth(spec.n, spec.r_star,
+                           value if spec.axis == "kappa" else spec.kappa,
+                           seeds[TAG_TRUTH])
+    op = gaussian_operator(spec.n, spec.measurements, seeds[TAG_OPERATOR],
+                           backend=spec.backend)
+    sigma = value if spec.axis == "noise_sigma" else spec.sigma
+    y = measure(op, gt, NoiseModel(sigma=sigma, seed=seeds[TAG_NOISE])).y
+    lam = (estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
+           if spec.lam == "auto" else float(spec.lam))
+    stop = StoppingRule(
+        target_rel_err=None if spec.axis == "alpha" else spec.target_rel_err,
+        patience=spec.patience, improve_tol=spec.improve_tol)
+    cfg = SolverConfig(algorithm="scaled_gd_lambda",
+                       r=value if spec.axis == "rank_r" else spec.r,
+                       eta=spec.eta, lam=lam,
+                       alpha=value if spec.axis == "alpha" else spec.alpha,
+                       max_iters=spec.max_iters, stop=stop,
+                       seed_init=seeds[TAG_INIT], record_every=spec.record_every)
 
+    def row(config):
+        return _run_row(spec, value, trial, op, y, config, gt)
 
-def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:
-    """Per kappa: ScaledGD(lambda) at fixed eta, and GD tuned over a grid.
-
-    GD's learning rate is selected from spec.gd_tuning by smallest iteration
-    count to target (non-converged runs rank last by final error).
-    """
-    if spec.axis != "kappa":
-        raise ValueError("axis must be 'kappa'")
-    records = []
-    for ai, kappa in enumerate(spec.values):
-        for trial in range(spec.trials):
-            gt, op, y, seeds = _build_point(spec, ai, trial, kappa=kappa)
-            lam = _resolve_lambda(spec, op, y)
-            cfg = SolverConfig(algorithm="scaled_gd_lambda", r=spec.r,
-                               eta=spec.eta, lam=lam, alpha=spec.alpha,
-                               max_iters=spec.max_iters, stop=_stopping(spec),
-                               seed_init=seeds[_TAG_INIT],
-                               record_every=spec.record_every)
-            records.append(_run_row(spec, kappa, trial, "scaled_gd_lambda",
-                                    op, y, cfg, gt))
-
-            gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
-                else spec.max_iters
-            best = None
-            for eta in spec.gd_tuning:
-                gd_cfg = replace(cfg, algorithm="gd", lam=0.0, eta=eta,
-                                 max_iters=gd_iters)
-                rec = _run_row(spec, kappa, trial, "gd", op, y, gd_cfg, gt)
-                if best is None or _gd_rank_key(rec) < _gd_rank_key(best):
-                    best = rec
-            if best is not None:  # empty tuning grid skips the GD baseline
-                records.append(best)
-    return records
+    rows = [row(cfg)]
+    if spec.axis == "kappa" and spec.gd_tuning:  # an empty grid skips GD
+        gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
+            else spec.max_iters
+        rows.append(min((row(replace(cfg, algorithm="gd", lam=0.0, eta=eta,
+                                     max_iters=gd_iters))
+                         for eta in spec.gd_tuning), key=_gd_rank_key))
+    elif spec.axis == "rank_r":
+        rows.append(row(replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral")))
+    return rows
 
 
 def _gd_rank_key(rec: ExperimentRecord):
@@ -273,27 +233,28 @@ def _gd_rank_key(rec: ExperimentRecord):
     return (0, rec.iters_to_target) if converged else (1, err)
 
 
+def _sweep(spec: SweepSpec, axis: str) -> list[ExperimentRecord]:
+    if spec.axis != axis:
+        raise ValueError(f"axis must be {axis!r}")
+    if axis == "alpha" and spec.patience is None:
+        raise ValueError("alpha sweep uses the patience (early stopping) rule")
+    return [rec for ai, value in enumerate(spec.values)
+            for trial in range(spec.trials)
+            for rec in _run_point(spec, ai, trial, value)]
+
+
+def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:
+    """Per kappa: ScaledGD(lambda) at fixed eta, and GD tuned over a grid.
+
+    GD's learning rate is selected from spec.gd_tuning by smallest iteration
+    count to target (non-converged runs rank last by final error).
+    """
+    return _sweep(spec, "kappa")
+
+
 def sweep_init_scale(spec: SweepSpec) -> list[ExperimentRecord]:
     """Final reconstruction error per initialization scale, patience stopping."""
-    if spec.axis != "alpha":
-        raise ValueError("axis must be 'alpha'")
-    if spec.patience is None:
-        raise ValueError("alpha sweep uses the patience (early stopping) rule")
-    records = []
-    for ai, alpha in enumerate(spec.values):
-        for trial in range(spec.trials):
-            gt, op, y, seeds = _build_point(spec, ai, trial)
-            lam = _resolve_lambda(spec, op, y)
-            stop = StoppingRule(target_rel_err=None, patience=spec.patience,
-                                improve_tol=spec.improve_tol)
-            cfg = SolverConfig(algorithm="scaled_gd_lambda", r=spec.r,
-                               eta=spec.eta, lam=lam, alpha=alpha,
-                               max_iters=spec.max_iters, stop=stop,
-                               seed_init=seeds[_TAG_INIT],
-                               record_every=spec.record_every)
-            records.append(_run_row(spec, alpha, trial, "scaled_gd_lambda",
-                                    op, y, cfg, gt))
-    return records
+    return _sweep(spec, "alpha")
 
 
 def sweep_overparam_rank(spec: SweepSpec) -> list[ExperimentRecord]:
@@ -306,43 +267,12 @@ def sweep_overparam_rank(spec: SweepSpec) -> list[ExperimentRecord]:
     its rate worsens with r: at the fig-r preset it needs about 11x more
     iterations at r = 20 than at r = 3.
     """
-    if spec.axis != "rank_r":
-        raise ValueError("axis must be 'rank_r'")
-    records = []
-    for ai, r in enumerate(spec.values):
-        r = int(r)
-        for trial in range(spec.trials):
-            gt, op, y, seeds = _build_point(spec, ai, trial)
-            lam = _resolve_lambda(spec, op, y)
-            cfg = SolverConfig(algorithm="scaled_gd_lambda", r=r,
-                               eta=spec.eta, lam=lam, alpha=spec.alpha,
-                               max_iters=spec.max_iters, stop=_stopping(spec),
-                               seed_init=seeds[_TAG_INIT],
-                               record_every=spec.record_every)
-            records.append(_run_row(spec, r, trial, "scaled_gd_lambda",
-                                    op, y, cfg, gt))
-            prec_cfg = replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral")
-            records.append(_run_row(spec, r, trial, "prec_gd", op, y, prec_cfg, gt))
-    return records
+    return _sweep(spec, "rank_r")
 
 
 def sweep_noise(spec: SweepSpec) -> list[ExperimentRecord]:
     """Final error per noise level, to compare against minimax_reference."""
-    if spec.axis != "noise_sigma":
-        raise ValueError("axis must be 'noise_sigma'")
-    records = []
-    for ai, sigma in enumerate(spec.values):
-        for trial in range(spec.trials):
-            gt, op, y, seeds = _build_point(spec, ai, trial, sigma=sigma)
-            lam = _resolve_lambda(spec, op, y)
-            cfg = SolverConfig(algorithm="scaled_gd_lambda", r=spec.r,
-                               eta=spec.eta, lam=lam, alpha=spec.alpha,
-                               max_iters=spec.max_iters, stop=_stopping(spec),
-                               seed_init=seeds[_TAG_INIT],
-                               record_every=spec.record_every)
-            records.append(_run_row(spec, sigma, trial, "scaled_gd_lambda",
-                                    op, y, cfg, gt))
-    return records
+    return _sweep(spec, "noise_sigma")
 
 
 def run_sweep(spec: SweepSpec) -> list[ExperimentRecord]:

@@ -57,6 +57,10 @@ class ApproxTruth:
     def tail_spectral_norm(self) -> float:
         return float(self.tail_spectrum[0]) if self.tail_spectrum.size else 0.0
 
+    def spectral_norm_m(self) -> float:
+        """||M*||: base and tail live on orthogonal subspaces, so the max."""
+        return max(self.base.spectral_norm_m(), self.tail_spectral_norm())
+
     def tail_frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.tail_spectrum))
 

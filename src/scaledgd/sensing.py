@@ -78,13 +78,16 @@ class SensingOperator:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""
         return rng.normals(self.seed, i, self.dim) / np.sqrt(self.m)
 
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
+    def _chunks(self):
+        """(first row index, rows) over the operator's rows in index order: the
+        dense array is one chunk; the streamed backend regenerates
+        _STREAM_CHUNK rows at a time."""
         if self.kind == "gaussian_dense":
-            return self._storage[lo:hi]
-        out = np.empty((hi - lo, self.dim))
-        for i in range(lo, hi):
-            out[i - lo] = self.row_svec(i)
-        return out
+            yield 0, self._storage
+            return
+        for lo in range(0, self.m, _STREAM_CHUNK):
+            yield lo, np.stack([self.row_svec(i)
+                                for i in range(lo, min(lo + _STREAM_CHUNK, self.m))])
 
     def sensing_matrix(self, i: int) -> np.ndarray:
         """A_i as a dense symmetric matrix."""
@@ -92,7 +95,9 @@ class SensingOperator:
             e = np.zeros(self.m)
             e[i] = 1.0
             return self.unsvec(e)
-        return self.unsvec(self._rows(i, i + 1)[0])
+        if self.kind == "gaussian_dense":
+            return self.unsvec(self._storage[i])
+        return self.unsvec(self.row_svec(i))
 
     # -- forward / adjoint / normal ------------------------------------------
 
@@ -100,12 +105,9 @@ class SensingOperator:
         v = self.svec(mat)
         if self.kind == "identity":
             return v
-        if self.kind == "gaussian_dense":
-            return self._storage @ v
         y = np.empty(self.m)
-        for lo in range(0, self.m, _STREAM_CHUNK):
-            hi = min(lo + _STREAM_CHUNK, self.m)
-            y[lo:hi] = self._rows(lo, hi) @ v
+        for lo, rows in self._chunks():
+            y[lo:lo + len(rows)] = rows @ v
         return y
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -114,12 +116,9 @@ class SensingOperator:
             raise ValueError(f"expected length-{self.m} vector, got {y.shape}")
         if self.kind == "identity":
             return self.unsvec(y)
-        if self.kind == "gaussian_dense":
-            return self.unsvec(self._storage.T @ y)
         acc = np.zeros(self.dim)
-        for lo in range(0, self.m, _STREAM_CHUNK):
-            hi = min(lo + _STREAM_CHUNK, self.m)
-            acc += self._rows(lo, hi).T @ y[lo:hi]
+        for lo, rows in self._chunks():
+            acc += rows.T @ y[lo:lo + len(rows)]
         return self.unsvec(acc)
 
     def residual_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -130,16 +129,12 @@ class SensingOperator:
         return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
 
     def apply_normal(self, mat: np.ndarray) -> np.ndarray:
-        """A*A(mat); one fused pass per row chunk for the streamed backend."""
-        if self.kind == "identity":
-            return self.unsvec(self.svec(mat))
-        if self.kind == "gaussian_dense":
-            return self.unsvec(self._storage.T @ (self._storage @ self.svec(mat)))
+        """A*A(mat); one fused pass per row chunk."""
         v = self.svec(mat)
+        if self.kind == "identity":
+            return self.unsvec(v)
         acc = np.zeros(self.dim)
-        for lo in range(0, self.m, _STREAM_CHUNK):
-            hi = min(lo + _STREAM_CHUNK, self.m)
-            rows = self._rows(lo, hi)
+        for _, rows in self._chunks():
             acc += rows.T @ (rows @ v)
         return self.unsvec(acc)
 
@@ -169,19 +164,6 @@ def gaussian_operator(n: int, m: int, seed: int, backend: str = "dense",
 def identity_operator(n: int) -> SensingOperator:
     """Exact isometry: forward is scaled svec, A*A is the identity."""
     return SensingOperator("identity", n, n * (n + 1) // 2)
-
-
-# module-level aliases matching the operation names
-def apply_forward(op: SensingOperator, mat: np.ndarray) -> np.ndarray:
-    return op.apply_forward(mat)
-
-
-def apply_adjoint(op: SensingOperator, y: np.ndarray) -> np.ndarray:
-    return op.apply_adjoint(y)
-
-
-def apply_normal(op: SensingOperator, mat: np.ndarray) -> np.ndarray:
-    return op.apply_normal(mat)
 
 
 @dataclass(frozen=True)

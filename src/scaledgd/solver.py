@@ -16,7 +16,7 @@ special case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,8 @@ class SolverConfig:
             raise ValueError("scaled_gd is the lambda = 0 case; got lambda != 0")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.init == "explicit" and self.x0 is None:
@@ -220,6 +222,16 @@ def _make_x0(op, y, config):
     raise ValueError(f"unknown init {config.init!r}")
 
 
+# lambda_t per algorithm, from the config and the current loss f; None means
+# no preconditioner (plain GD)
+_DAMPING = {
+    "gd": lambda config, f: None,
+    "scaled_gd": lambda config, f: 0.0,
+    "scaled_gd_lambda": lambda config, f: config.lam,
+    "prec_gd": lambda config, f: np.sqrt(f),
+}
+
+
 def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
         oracle=None, collect_diagnostics: bool = False,
         checkpoint_hook=None) -> Trajectory:
@@ -227,10 +239,11 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
 
     When an oracle (GroundTruth or ApproxTruth) is supplied, per-iteration
     relative errors against M* are recorded and the target stopping rule is
-    active.  Diagnostics (phase metrics) are computed only at record points
-    and only on request; they need a GroundTruth oracle.  checkpoint_hook,
-    when given, is called as hook(t, x) at every record point.  A loss that
-    blows up raises DivergenceError carrying the records made so far.
+    active.  Records are made every record_every iterations and at the stop.
+    Diagnostics (phase metrics) are computed only at record points and only
+    on request; they need a GroundTruth oracle.  checkpoint_hook, when given,
+    is called as hook(t, x) at every record point.  A loss that blows up
+    raises DivergenceError carrying the records made so far.
     """
     from .diagnostics import phase_metrics, decompose_iterate
     from .linalg import orthonormal_complement, spectral_norm
@@ -245,22 +258,15 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     if x.shape != (op.n, config.r):
         raise ValueError(f"x0 shape {x.shape} does not match (n, r)")
     u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
-
-    m_star = dense_m_star(oracle) if oracle is not None else None
     if oracle is not None:
-        if isinstance(oracle, GroundTruth):
-            norm_m = oracle.spectral_norm_m()
-        else:
-            # base and tail live on orthogonal subspaces, so ||M*|| is the max
-            norm_m = max(oracle.base.spectral_norm_m(), oracle.tail_spectral_norm())
+        m_star, norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
+    damping = _DAMPING[config.algorithm]
 
     records = []
     start = time.perf_counter_ns()
     loss0 = None
     best_loss = np.inf
     best_t = 0
-    stop_reason = "max_iters"
-    cur_loss = np.nan
 
     for t in range(config.max_iters + 1):
         cur_loss, w = op.residual_grad(x, y)
@@ -276,8 +282,19 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
             mt = x @ x.T
             rel_fro = float(np.linalg.norm(mt - m_star)) / norm_m
 
-        at_record = (t % config.record_every == 0) or t == config.max_iters
-        if at_record:
+        stop_reason = None
+        if stop.target_rel_err is not None and rel_fro <= stop.target_rel_err:
+            stop_reason = "target_reached"
+        elif stop.patience is not None:
+            if cur_loss < best_loss * (1.0 - stop.improve_tol):
+                best_loss = cur_loss
+                best_t = t
+            elif t - best_t >= stop.patience:
+                stop_reason = "patience"
+        if stop_reason is None and t == config.max_iters:
+            stop_reason = "max_iters"
+
+        if t % config.record_every == 0 or stop_reason is not None:
             if checkpoint_hook is not None:
                 checkpoint_hook(t, x.copy())
             metrics = None
@@ -290,46 +307,16 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
                 t=t, loss=cur_loss, rel_err_fro=rel_fro, rel_err_op=rel_op,
                 metrics=metrics,
                 elapsed_ms=(time.perf_counter_ns() - start) / 1e6))
-
-        if stop.target_rel_err is not None and rel_fro is not None \
-                and rel_fro <= stop.target_rel_err:
-            stop_reason = "target_reached"
-            break
-        if stop.patience is not None:
-            if cur_loss < best_loss * (1.0 - stop.improve_tol):
-                best_loss = cur_loss
-                best_t = t
-            elif t - best_t >= stop.patience:
-                stop_reason = "patience"
-                break
-        if t == config.max_iters:
-            stop_reason = "max_iters"
+        if stop_reason is not None:
             break
 
-        grad = w @ x
-        if config.algorithm == "gd":
-            x = step_gd(x, grad, config.eta)
-        elif config.algorithm == "scaled_gd":
-            x = step_scaled_gd(x, grad, config.eta)
-        elif config.algorithm == "scaled_gd_lambda":
-            x = step_scaled_gd_lambda(x, grad, config.eta, config.lam)
+        lam_t = damping(config, cur_loss)
+        if lam_t is None:
+            x = step_gd(x, w @ x, config.eta)
         else:
-            x = step_prec_gd(x, grad, config.eta, cur_loss)
+            x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
 
-    elapsed = time.perf_counter_ns() - start
-    if not records or records[-1].t != t:
-        if checkpoint_hook is not None:
-            checkpoint_hook(t, x.copy())
-        rel_op = None
-        if oracle is not None:
-            rel_op = spectral_norm(x @ x.T - m_star)[0] / norm_m
-        metrics = None
-        if collect_diagnostics:
-            metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=u_perp),
-                                    oracle, config.lam)
-        records.append(TrajectoryRecord(t=t, loss=cur_loss, rel_err_fro=rel_fro,
-                                        rel_err_op=rel_op, metrics=metrics,
-                                        elapsed_ms=elapsed / 1e6))
-    final = IterateState(x=x, t=t, loss=cur_loss, elapsed_ns=elapsed)
+    final = IterateState(x=x, t=t, loss=cur_loss,
+                         elapsed_ns=time.perf_counter_ns() - start)
     return Trajectory(records=tuple(records), stop_reason=stop_reason,
                       final_state=final)

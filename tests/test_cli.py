@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scaledgd import __version__
-from scaledgd.cli import main
-from scaledgd.experiments import SWEEP_COLUMNS, TRAJECTORY_COLUMNS
+from scaledgd.cli import _sweep_spec_from_config, main
+from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
+                                  preset_spec)
 from scaledgd.problem import NoiseModel, make_ground_truth
 from scaledgd.rng import derive_seed
 from scaledgd.sensing import gaussian_operator, measure
@@ -143,6 +144,48 @@ def test_run_preset_overridable(tmp_path, capsys):
     assert meta["n"] == "15" and meta["max_iters"] == "50"
 
 
+def test_run_rejects_negative_max_iters(tmp_path, capsys):
+    assert main(["run", "--n", "10", "--r-star", "2", "--max-iters", "-1",
+                 "--patience", "5", "--out", str(tmp_path / "t.csv")]) == 2
+    assert "max_iters" in capsys.readouterr().err
+
+
+# the settings `run --preset` took from its own table before it read the
+# sweep presets; the identity operator keeps the paper-scale run cheap
+_PINNED_RUN_PRESETS = {
+    "paper-fig1": dict(n="150", r_star="3", r="5", eta="0.3", alpha="1e-27",
+                       target="1e-09", max_iters="2000"),
+    "ci-small": dict(n="60", r_star="3", r="5", eta="0.3", alpha="1e-27",
+                     target="1e-09", max_iters="1500"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PINNED_RUN_PRESETS))
+def test_run_preset_settings_pinned(tmp_path, preset):
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--preset", preset, "--operator", "identity",
+                 "--record-every", "100", "--out", out]) == 0
+    meta = _read_meta(out + ".meta")
+    for key, value in _PINNED_RUN_PRESETS[preset].items():
+        assert meta[key] == value, key
+    assert meta["patience"] == "None" and meta["damping_frac"] == "0.05"
+    assert meta["stop_reason"] == "target_reached"
+
+
+@pytest.mark.parametrize("preset", ["fig-r", "fig-alpha"])
+def test_run_preset_resolves_from_sweep_presets(tmp_path, preset):
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--preset", preset, "--operator", "identity",
+                 "--record-every", "100", "--out", out]) == 0
+    meta = _read_meta(out + ".meta")
+    spec = preset_spec(preset)
+    for key, field in (("n", "n"), ("r_star", "r_star"), ("r", "r"),
+                       ("eta", "eta"), ("alpha", "alpha"),
+                       ("target", "target_rel_err"), ("patience", "patience"),
+                       ("max_iters", "max_iters"), ("damping_frac", "damping_frac")):
+        assert meta[key] == str(getattr(spec, field)), key
+
+
 def test_run_unknown_preset(tmp_path):
     assert main(["run", "--preset", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -193,6 +236,22 @@ def test_sweep_bad_config_key(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert "unknown sweep config key" in capsys.readouterr().err
+
+
+def test_sweep_config_accepts_every_spec_field():
+    # one config key per SweepSpec field, each set away from its default
+    want = SweepSpec(axis="rank_r", values=(3.0, 5.0), n=20, r_star=2, r=4,
+                     kappa=3.0, m=500, eta=0.25, alpha=1e-12, sigma=1e-3,
+                     lam=0.01, damping_frac=0.25, target_rel_err=1e-6,
+                     patience=50, improve_tol=1e-2, max_iters=300,
+                     gd_max_iters=200, gd_tuning=(0.1, 0.2), trials=2,
+                     master_seed=7, backend="streamed", record_every=3)
+    raw = {}
+    for key in SweepSpec.__dataclass_fields__:
+        value = getattr(want, key)
+        raw[key] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        assert value != SweepSpec.__dataclass_fields__[key].default, key
+    assert _sweep_spec_from_config(raw) == want
 
 
 def test_config_parse_errors(tmp_path, capsys):

@@ -114,6 +114,19 @@ def test_alpha_sweep_error_tracks_alpha():
     assert records[0].final_rel_err_fro < records[1].final_rel_err_fro
 
 
+def test_alpha_sweep_ignores_target():
+    # the alpha sweep stops on patience alone, even when the spec sets a
+    # target its runs would reach
+    spec = SweepSpec(axis="alpha", values=(1e-10, 1e-6), n=20, r_star=2, r=3,
+                     target_rel_err=1e-2, patience=60, max_iters=1500,
+                     trials=1, master_seed=3)
+    records = run_sweep(spec)
+    assert len(records) == 2
+    assert all(r.stop_reason in ("patience", "max_iters") for r in records)
+    assert all(r.iters_to_target == SENTINEL_ITERS for r in records)
+    assert all(r.final_rel_err_fro < 1e-2 for r in records)
+
+
 def test_alpha_sweep_requires_patience():
     spec = SweepSpec(axis="alpha", values=(1e-8, 1e-6), n=20, r_star=2, r=3,
                      target_rel_err=1e-6)

@@ -14,8 +14,7 @@ def _rand_sym(gen, n):
 def test_gaussian_entry_variances():
     # moment oracle over 1e5 independent row streams (n=2, one row each)
     op = gaussian_operator(2, 100_000, seed=31, backend="streamed")
-    rows = np.vstack([op._rows(lo, min(lo + 4096, op.m))
-                      for lo in range(0, op.m, 4096)])
+    rows = np.vstack([rows for _, rows in op._chunks()])
     mats = np.empty((op.m, 2, 2))
     for i in range(op.m):
         mats[i] = op.unsvec(rows[i])

@@ -168,6 +168,77 @@ def test_max_iters_stop_and_final_record():
     assert ts == [0, 5, 10, 15, 17]
 
 
+def test_records_at_multiples_and_target_stop_once():
+    gt = make_ground_truth(8, 2, 2, seed=3)
+    op = identity_operator(8)
+    y = measure(op, gt).y
+    base = dict(algorithm="scaled_gd_lambda", r=3, eta=0.3, lam=0.01, alpha=1e-3,
+                max_iters=400)
+    dense = run(op, y, SolverConfig(stop=StoppingRule(patience=1000), **base),
+                oracle=gt)
+    errs = {rec.t: rec.rel_err_fro for rec in dense.records}
+    # a target first met at an iteration t_stop that is not a multiple of 7
+    t_stop = next(t for t in sorted(errs) if t > 14 and t % 7
+                  and errs[t] < min(errs[s] for s in errs if s < t))
+    hooked = []
+    traj = run(op, y, SolverConfig(stop=StoppingRule(target_rel_err=errs[t_stop]),
+                                   record_every=7, **base),
+               oracle=gt, checkpoint_hook=lambda t, x: hooked.append(t))
+    assert traj.stop_reason == "target_reached"
+    assert traj.final_state.t == t_stop
+    ts = [rec.t for rec in traj.records]
+    assert ts == list(range(0, t_stop, 7)) + [t_stop]
+    assert hooked == ts
+    assert traj.records[-1].rel_err_op is not None
+
+
+_STEPS = {
+    "gd": lambda x, g, f, cfg: step_gd(x, g, cfg.eta),
+    "scaled_gd": lambda x, g, f, cfg: step_scaled_gd(x, g, cfg.eta),
+    "scaled_gd_lambda": lambda x, g, f, cfg: step_scaled_gd_lambda(x, g, cfg.eta, cfg.lam),
+    "prec_gd": lambda x, g, f, cfg: step_prec_gd(x, g, cfg.eta, f),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_STEPS))
+def test_run_matches_hand_loop_over_step(algorithm):
+    gt = make_ground_truth(12, 2, 3, seed=4)
+    op = gaussian_operator(12, 240, seed=5)
+    y = measure(op, gt).y
+    x0 = random_init(12, 3, 0.1, seed=6)
+    cfg = SolverConfig(algorithm=algorithm, r=3, eta=0.2,
+                       lam=0.02 if algorithm == "scaled_gd_lambda" else 0.0,
+                       init="explicit", x0=x0, max_iters=10,
+                       stop=StoppingRule(patience=1000))
+    traj = run(op, y, cfg)
+    x = x0
+    for _ in range(10):
+        f, w = op.residual_grad(x, y)
+        x = _STEPS[algorithm](x, w @ x, f, cfg)
+    assert traj.final_state.t == 10
+    assert np.array_equal(traj.final_state.x, x)
+
+
+def test_run_steps_through_module_functions(monkeypatch):
+    # each iteration calls step_gd or step_scaled_gd_lambda as a module
+    # attribute, so a wrapper put there sees every step
+    import scaledgd.solver as solver
+    calls = []
+    for name in ("step_gd", "step_scaled_gd_lambda"):
+        fn = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    op = identity_operator(6)
+    y = measure(op, make_ground_truth(6, 2, 2, seed=1)).y
+    for algorithm in _STEPS:
+        calls.clear()
+        cfg = SolverConfig(algorithm=algorithm, r=2, eta=0.1, alpha=0.1,
+                           max_iters=8, stop=StoppingRule(patience=1000))
+        assert run(op, y, cfg).final_state.t == 8
+        want = "step_gd" if algorithm == "gd" else "step_scaled_gd_lambda"
+        assert calls == [want] * 8
+
+
 def test_prec_gd_lambda_schedule_decreases():
     # lambda_t = sqrt(f(X_t)) tracks the loss, which decays on a converging run
     gt = make_ground_truth(12, 2, 2, seed=4)
@@ -294,6 +365,8 @@ def test_config_validation():
         SolverConfig(algorithm="gd", r=2, eta=0.1, init="explicit")
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd", r=2, eta=0.1, alpha=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(algorithm="gd", r=2, eta=0.1, max_iters=-1)
     with pytest.raises(ValueError):
         StoppingRule()
     with pytest.raises(ValueError):
