@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .experiments import (DAMPING_FRAC, PRESETS, TAG_INIT, TAG_NOISE,
-                          TAG_OPERATOR, TAG_TRUTH, SweepSpec, emit_csv,
+from .experiments import (DAMPING_FRAC, PRESETS, TAG_NOISE, TAG_OPERATOR,
+                          TAG_TRUTH, SweepSpec, emit_csv, point_config,
                           preset_spec, run_sweep)
 from .problem import NoiseModel, dense_m_star, make_ground_truth
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator, measure
-from .solver import (SolverConfig, StoppingRule, Trajectory,
-                     TrajectoryRecord, estimate_damping, run)
+from .solver import Trajectory, TrajectoryRecord, estimate_damping, run
 
 INSTANCE_FORMAT_VERSION = 1
 
@@ -48,6 +49,13 @@ def _parse_kv_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             out[key] = value
     return out
+
+
+def _spec_fields(args) -> dict:
+    """The SweepSpec fields set on the command line; `run` and `sweep` name
+    their flags' dests after the fields."""
+    return {key: value for key, value in vars(args).items()
+            if key in SweepSpec.__dataclass_fields__ and value is not None}
 
 
 # -- gen ------------------------------------------------------------------------
@@ -88,73 +96,53 @@ def _load_instance(meta_path: str):
 # -- run ------------------------------------------------------------------------
 
 
-def _resolve_run_settings(args) -> dict:
-    """Defaults, then a sweep preset's geometry, step size, init scale,
-    stopping rule and damping fraction, then the flags."""
-    settings = dict(n=60, r_star=3, r=5, eta=0.3, alpha=1e-27, target=None,
-                    patience=None, max_iters=1500, damping_frac=DAMPING_FRAC)
+def _run_spec(args, gt) -> SweepSpec:
+    """A run as a one-point kappa sweep: a preset's settings or SweepSpec's
+    defaults, then the flags, then the instance's n, r* and kappa.  Without a
+    preset, a run has no target, 1500 iterations and, when no stopping rule
+    is set, a patience of 100."""
+    fields = _spec_fields(args)
+    if gt is not None:
+        fields.update(n=gt.n, r_star=gt.r_star, kappa=gt.condition_number())
     if args.preset:
-        spec = preset_spec(args.preset)
-        settings.update(n=spec.n, r_star=spec.r_star, r=spec.r, eta=spec.eta,
-                        alpha=spec.alpha, target=spec.target_rel_err,
-                        patience=spec.patience, max_iters=spec.max_iters,
-                        damping_frac=spec.damping_frac)
-    for key in ("n", "r_star", "r", "eta", "alpha", "target", "patience",
-                "max_iters"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    return settings
+        spec = preset_spec(args.preset, **fields)
+    else:
+        fields = {"target_rel_err": None, "max_iters": 1500, **fields}
+        if fields["target_rel_err"] is None:
+            fields.setdefault("patience", 100)
+        spec = SweepSpec(axis="kappa", values=(0,), **fields)  # values set below
+    return replace(spec, axis="kappa", values=(spec.kappa,))
 
 
 def cmd_run(args) -> int:
     if args.lam is not None and args.lambda_auto is not None:
         raise CliError("pass either --lambda or --lambda-auto, not both")
-    settings = _resolve_run_settings(args)
-
-    if args.instance:
-        gt = _load_instance(args.instance)
-        settings["n"], settings["r_star"] = gt.n, gt.r_star
-        kappa = gt.condition_number()
-    else:
-        kappa = args.kappa if args.kappa is not None else 2.0
-        gt = make_ground_truth(settings["n"], settings["r_star"], kappa,
-                               derive_seed(args.seed, TAG_TRUTH))
-
-    n, r_star = settings["n"], settings["r_star"]
-    m = args.m if args.m is not None else 10 * n * r_star
+    gt = _load_instance(args.instance) if args.instance else None
+    spec = _run_spec(args, gt)
+    seed = spec.master_seed
+    if gt is None:
+        gt = make_ground_truth(spec.n, spec.r_star, spec.kappa,
+                               derive_seed(seed, TAG_TRUTH))
     if args.operator == "identity":
-        op = identity_operator(n)
+        op = identity_operator(spec.n)
     else:
-        op = gaussian_operator(n, m, derive_seed(args.seed, TAG_OPERATOR),
-                               backend=args.backend)
-    noise = NoiseModel(sigma=args.sigma, seed=derive_seed(args.seed, TAG_NOISE))
-    y = measure(op, gt, noise).y
+        op = gaussian_operator(spec.n, spec.measurements,
+                               derive_seed(seed, TAG_OPERATOR), backend=spec.backend)
+    y = measure(op, gt, NoiseModel(sigma=spec.sigma,
+                                   seed=derive_seed(seed, TAG_NOISE))).y
 
-    # an estimated lambda uses the sweeps' damping fraction
-    damping_frac = None
-    if args.lam is not None:
-        lam = args.lam
-    elif args.lambda_auto is not None or args.algorithm == "scaled-gd-lambda":
-        damping_frac = settings["damping_frac"]
-        rank_guess = args.lambda_auto if args.lambda_auto is not None else r_star
-        lam = estimate_damping(op, y, rank_guess, c_frac=damping_frac).lambda_hat
-    else:
-        lam = 0.0
-
-    algorithm = args.algorithm.replace("-", "_")
-    patience = settings["patience"]
-    target = settings["target"]
-    if target is None and patience is None:
-        patience = 100
-    stop = StoppingRule(target_rel_err=target, patience=patience,
-                        improve_tol=args.improve_tol)
-    config = SolverConfig(algorithm=algorithm, r=settings["r"],
-                          eta=settings["eta"], lam=lam, alpha=settings["alpha"],
-                          init=args.init.replace("-", "_"),
-                          max_iters=settings["max_iters"], stop=stop,
-                          seed_init=derive_seed(args.seed, TAG_INIT),
-                          record_every=args.record_every)
+    # ScaledGD(lambda) estimates lambda at r* as the sweeps do, --lambda-auto at
+    # its own rank guess; the other algorithms are undamped unless --lambda
+    estimated = args.lambda_auto is not None or (
+        spec.lam == "auto" and args.algorithm == "scaled-gd-lambda")
+    if args.lambda_auto is not None:
+        spec = replace(spec, lam=estimate_damping(
+            op, y, args.lambda_auto, c_frac=spec.damping_frac).lambda_hat)
+    elif spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
+        spec = replace(spec, lam=0.0)
+    config = replace(point_config(spec, seed, spec.kappa, op, y),
+                     algorithm=args.algorithm.replace("-", "_"),
+                     init=args.init.replace("-", "_"))
 
     checkpoints = []
     hook = (lambda t, x: checkpoints.append((t, x))) if args.checkpoints else None
@@ -166,15 +154,15 @@ def cmd_run(args) -> int:
         arrays["iters"] = np.array([t for t, _ in checkpoints])
         np.savez(args.checkpoints, **arrays)
     _write_sidecar(args.out, {
-        "kind": "trajectory", "algorithm": args.algorithm, "n": n,
-        "r_star": r_star, "r": settings["r"], "kappa": kappa, "m": op.m,
-        "operator": args.operator, "backend": args.backend,
-        "eta": settings["eta"], "lambda": lam, "damping_frac": damping_frac,
-        "alpha": settings["alpha"],
-        "init": args.init, "sigma": args.sigma, "seed": args.seed,
-        "target": target, "patience": patience,
-        "improve_tol": args.improve_tol, "max_iters": settings["max_iters"],
-        "record_every": args.record_every, "stop_reason": traj.stop_reason,
+        "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
+        "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa, "m": op.m,
+        "operator": args.operator, "backend": spec.backend,
+        "eta": spec.eta, "lambda": config.lam,
+        "damping_frac": spec.damping_frac if estimated else None,
+        "alpha": spec.alpha, "init": args.init, "sigma": spec.sigma, "seed": seed,
+        "target": spec.target_rel_err, "patience": spec.patience,
+        "improve_tol": spec.improve_tol, "max_iters": spec.max_iters,
+        "record_every": spec.record_every, "stop_reason": traj.stop_reason,
         "final_iter": traj.final_state.t, "final_loss": traj.final_state.loss,
         "version": __version__,
     })
@@ -188,31 +176,37 @@ def cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-_SWEEP_INT_KEYS = {"n", "r_star", "r", "max_iters", "gd_max_iters", "trials",
-                   "master_seed", "patience", "record_every"}
-_SWEEP_FLOAT_KEYS = {"kappa", "eta", "alpha", "sigma", "damping_frac",
-                     "target_rel_err", "improve_tol"}
+_SPEC_TYPES = typing.get_type_hints(SweepSpec)
 
 
-def _sweep_spec_from_config(raw: dict) -> SweepSpec:
-    kwargs = dict(PRESETS[raw.pop("preset")]) if "preset" in raw else {}
-    for key, value in raw.items():
-        if key in ("values", "gd_tuning"):
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key == "m":
-            kwargs[key] = None if value == "auto" else int(value)
-        elif key == "lam":
-            kwargs[key] = value if value == "auto" else float(value)
-        elif key in _SWEEP_INT_KEYS:
-            kwargs[key] = None if value == "none" else int(value)
-        elif key in _SWEEP_FLOAT_KEYS:
-            kwargs[key] = None if value == "none" else float(value)
-        elif key in ("axis", "backend"):
-            kwargs[key] = value
-        else:
-            raise CliError(f"unknown sweep config key {key!r}")
+def _config_value(key: str, text: str):
+    """A config value parsed as the type SweepSpec declares for `key`; 'none'
+    (or 'auto', as for m) is None where the field allows it."""
+    if key not in _SPEC_TYPES:
+        raise CliError(f"unknown sweep config key {key!r}")
+    hint = _SPEC_TYPES[key]
+    kinds = typing.get_args(hint) or (hint,)
+    if type(None) in kinds and text in ("none", "auto"):
+        return None
+    if hint is tuple:
+        return tuple(float(v) for v in text.split(","))
+    for kind in kinds:  # float before str, so `lam = auto` stays a string
+        if kind is not type(None):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+    raise CliError(f"bad value {text!r} for sweep config key {key!r}")
+
+
+def _sweep_spec_from_config(raw: dict, **fields) -> SweepSpec:
+    """A `preset` key's settings, then the other keys, then `fields`."""
+    kwargs = {key: _config_value(key, text)
+              for key, text in raw.items() if key != "preset"}
+    kwargs.update(fields)
     try:
-        return SweepSpec(**kwargs)
+        return (preset_spec(raw["preset"], **kwargs) if "preset" in raw
+                else SweepSpec(**kwargs))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad sweep configuration: {exc}") from exc
 
@@ -220,17 +214,9 @@ def _sweep_spec_from_config(raw: dict) -> SweepSpec:
 def cmd_sweep(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise CliError("pass exactly one of --preset or --config")
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.preset:
-        spec = preset_spec(args.preset, **overrides)
-    else:
-        raw = _parse_kv_file(args.config)
-        raw.update({k: str(v) for k, v in overrides.items()})
-        spec = _sweep_spec_from_config(raw)
+    fields = _spec_fields(args)
+    spec = (preset_spec(args.preset, **fields) if args.preset
+            else _sweep_spec_from_config(_parse_kv_file(args.config), **fields))
     records = run_sweep(spec)
     emit_csv(records, args.out)
     meta = {f"spec.{k}": getattr(spec, k) for k in spec.__dataclass_fields__}
@@ -319,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="measurements (default 10*n*r_star)")
     p.add_argument("--operator", choices=("gaussian", "identity"),
                    default="gaussian", help="sensing operator (default gaussian)")
-    p.add_argument("--backend", choices=("dense", "streamed"), default="dense",
+    p.add_argument("--backend", choices=("dense", "streamed"),
                    help="gaussian operator backend (default dense)")
     p.add_argument("--eta", type=float, help="learning rate (default 0.3)")
     p.add_argument("--lambda", dest="lam", type=float,
@@ -330,14 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="initialization scale (default 1e-27)")
     p.add_argument("--init", choices=("small-random", "spectral"),
                    default="small-random", help="initialization (default small-random)")
-    p.add_argument("--sigma", type=float, default=0.0, help="noise level (default 0)")
+    p.add_argument("--sigma", type=float, help="noise level (default 0)")
     p.add_argument("--max-iters", type=int, help="iteration budget (default 1500)")
-    p.add_argument("--target", type=float, help="stop at this relative error")
+    p.add_argument("--target", dest="target_rel_err", type=float,
+                   help="stop at this relative error")
     p.add_argument("--patience", type=int, help="early-stopping patience window")
-    p.add_argument("--improve-tol", type=float, default=1e-3,
+    p.add_argument("--improve-tol", type=float,
                    help="relative loss improvement threshold (default 1e-3)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--record-every", type=int, default=1,
+    p.add_argument("--seed", dest="master_seed", type=int,
+                   help="master seed (default 0)")
+    p.add_argument("--record-every", type=int,
                    help="record spacing in iterations (default 1)")
     p.add_argument("--diagnostics", action="store_true",
                    help="record phase metrics at every record point")
@@ -349,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="sweep preset: " + ", ".join(sorted(PRESETS)))
     p.add_argument("--config", help="key = value sweep config file")
     p.add_argument("--trials", type=int, help="independent seeds per point")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -76,6 +76,10 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         if self.target_rel_err is None and self.patience is None:
             raise ValueError("enable a stopping rule (target_rel_err or patience)")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if isinstance(self.lam, str) and self.lam != "auto":
+            raise ValueError(f"lam must be a number or 'auto', got {self.lam!r}")
 
     @property
     def measurements(self) -> int:
@@ -183,34 +187,41 @@ def _run_row(spec, axis_value, trial, op, y, config, oracle) -> ExperimentRecord
                             last.rel_err_fro, last.rel_err_op, traj.stop_reason, ms)
 
 
-def _run_point(spec: SweepSpec, axis_index: int, trial: int,
-               value) -> list[ExperimentRecord]:
-    """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
-    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row.
-    The alpha axis stops on patience alone."""
-    if spec.axis == "rank_r":
-        value = int(value)
-    base = derive_seed(spec.master_seed, axis_index, trial)
-    seeds = {tag: derive_seed(base, tag)
-             for tag in (TAG_TRUTH, TAG_OPERATOR, TAG_INIT, TAG_NOISE)}
-    gt = make_ground_truth(spec.n, spec.r_star,
-                           value if spec.axis == "kappa" else spec.kappa,
-                           seeds[TAG_TRUTH])
-    op = gaussian_operator(spec.n, spec.measurements, seeds[TAG_OPERATOR],
-                           backend=spec.backend)
-    sigma = value if spec.axis == "noise_sigma" else spec.sigma
-    y = measure(op, gt, NoiseModel(sigma=sigma, seed=seeds[TAG_NOISE])).y
+def point_config(spec: SweepSpec, seed: int, value, op, y) -> SolverConfig:
+    """ScaledGD(lambda)'s SolverConfig at one axis value (an int on the rank
+    axis), for the sweeps and `scaledgd run`.  lambda is estimated at
+    spec.damping_frac of the r*-th eigenvalue of A*(y) when spec.lam is
+    "auto"; the init seed is derived from `seed`.  The alpha axis stops on
+    patience alone."""
     lam = (estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
            if spec.lam == "auto" else float(spec.lam))
     stop = StoppingRule(
         target_rel_err=None if spec.axis == "alpha" else spec.target_rel_err,
         patience=spec.patience, improve_tol=spec.improve_tol)
-    cfg = SolverConfig(algorithm="scaled_gd_lambda",
-                       r=value if spec.axis == "rank_r" else spec.r,
-                       eta=spec.eta, lam=lam,
-                       alpha=value if spec.axis == "alpha" else spec.alpha,
-                       max_iters=spec.max_iters, stop=stop,
-                       seed_init=seeds[TAG_INIT], record_every=spec.record_every)
+    return SolverConfig(algorithm="scaled_gd_lambda",
+                        r=value if spec.axis == "rank_r" else spec.r,
+                        eta=spec.eta, lam=lam,
+                        alpha=value if spec.axis == "alpha" else spec.alpha,
+                        max_iters=spec.max_iters, stop=stop,
+                        seed_init=derive_seed(seed, TAG_INIT),
+                        record_every=spec.record_every)
+
+
+def _run_point(spec: SweepSpec, axis_index: int, trial: int,
+               value) -> list[ExperimentRecord]:
+    """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
+    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row."""
+    if spec.axis == "rank_r":
+        value = int(value)
+    seed = derive_seed(spec.master_seed, axis_index, trial)
+    gt = make_ground_truth(spec.n, spec.r_star,
+                           value if spec.axis == "kappa" else spec.kappa,
+                           derive_seed(seed, TAG_TRUTH))
+    op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR),
+                           backend=spec.backend)
+    sigma = value if spec.axis == "noise_sigma" else spec.sigma
+    y = measure(op, gt, NoiseModel(sigma=sigma, seed=derive_seed(seed, TAG_NOISE))).y
+    cfg = point_config(spec, seed, value, op, y)
 
     def row(config):
         return _run_row(spec, value, trial, op, y, config, gt)

@@ -10,12 +10,13 @@ entries multiplied by sqrt(2), so the Frobenius inner product is a plain
 dot product.  In svec coordinates every entry of a Gaussian-design row is
 i.i.d. N(0, 1/m), so row i of the operator is exactly
 
-    normals(seed, stream=i, count=n(n+1)/2) / sqrt(m)
+    normals(seed, stream=i, count=n(n+1)/2) * (1.0 / sqrt(m))
 
-from the package's documented Philox/Box-Muller stream (see rng.py).  The
-dense backend materializes the m x n(n+1)/2 array; the streamed backend
-regenerates rows on demand in fixed-size chunks, which keeps the
-accumulation order independent of how the work is scheduled.
+from the package's documented Philox/Box-Muller stream (see rng.py).  Both
+backends take their rows from `SensingOperator.row_svec`, so they are
+bit-identical: the dense backend materializes the m x n(n+1)/2 array; the
+streamed backend regenerates rows on demand in fixed-size chunks, which
+keeps the accumulation order independent of how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class SensingOperator:
 
     def row_svec(self, i: int) -> np.ndarray:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""
-        return rng.normals(self.seed, i, self.dim) / np.sqrt(self.m)
+        return rng.normals(self.seed, i, self.dim) * (1.0 / np.sqrt(self.m))
 
     def _chunks(self):
         """(first row index, rows) over the operator's rows in index order: the
@@ -150,12 +151,10 @@ def gaussian_operator(n: int, m: int, seed: int, backend: str = "dense",
             raise MemoryCapError(
                 f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
                 f"(cap {memory_cap_bytes / 2**30:.2f} GiB); use backend='streamed'")
-        storage = np.empty((m, dim))
-        inv_sqrt_m = 1.0 / np.sqrt(m)
-        for i in range(m):
-            storage[i] = rng.normals(seed, i, dim)
-        storage *= inv_sqrt_m
-        return SensingOperator("gaussian_dense", n, m, seed, storage)
+        op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
+        for i in range(m):  # row by row: a stack of rows would double peak memory
+            op._storage[i] = op.row_svec(i)
+        return op
     if backend == "streamed":
         return SensingOperator("gaussian_streamed", n, m, seed)
     raise ValueError(f"unknown backend {backend!r}")
@@ -201,8 +200,8 @@ class RipEstimate:
 
 def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
                           seed: int) -> RipEstimate:
-    if rank > op.n:
-        raise ValueError("rank exceeds ambient dimension")
+    if not 1 <= rank <= op.n:
+        raise ValueError(f"rank must be between 1 and n = {op.n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = op.n
@@ -218,13 +217,8 @@ def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
         lam /= np.linalg.norm(lam)
         mat = (q * lam) @ q.T
         v = op.svec(mat)
-        denom = float(v @ v)  # ||M||_F^2 in the same coordinates
-        if op.kind == "identity":
-            num = denom  # forward of the identity is v itself
-        else:
-            ym = op.apply_forward(mat)
-            num = float(ym @ ym)
-        ratio = num / denom
+        ym = op.apply_forward(mat)
+        ratio = float(ym @ ym) / float(v @ v)  # v @ v is ||M||_F^2
         min_ratio = min(min_ratio, ratio)
         max_ratio = max(max_ratio, ratio)
     delta_hat = max(1.0 - min_ratio, max_ratio - 1.0, 0.0)

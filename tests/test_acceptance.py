@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line to the terminal (bypassing pytest
 capture) so the outcome per criterion is visible in any log. The suite is
-slow (paper scale, n = 150, m = 4500); run the rest of the test directory
-for fast feedback.
+slow (paper scale, n = 150, m = 4500): criteria 1-4 and 6 carry the `slow`
+marker, so `pytest -m "not slow"` gives fast feedback.
 """
 
 import time
@@ -47,6 +47,7 @@ def _gd_lower_bound(rec, cap):
     return cap
 
 
+@pytest.mark.slow
 def test_criterion_1_kappa_robustness(capsys):
     # ScaledGD(lambda) across kappa = 1..7 at paper scale
     spec = preset_spec("paper-fig1", gd_tuning=())
@@ -78,6 +79,7 @@ def test_criterion_1_kappa_robustness(capsys):
             f"ci-small ratio {ci_ratio:.1f} (>=5)")
 
 
+@pytest.mark.slow
 def test_criterion_2_alpha_scaling(capsys):
     recs = run_sweep(preset_spec("fig-alpha"))
     pts = [(r.axis_value, r.final_rel_err_fro) for r in recs]
@@ -117,6 +119,7 @@ def _criterion_3_verdict(recs):
     return ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_3_overparameterization(capsys):
     ok, detail = _criterion_3_verdict(run_sweep(preset_spec("fig-r")))
     _report(capsys, "criterion 3 (overparameterization)", ok, detail)
@@ -157,6 +160,7 @@ def test_criterion_3_verdict(scaled_patch, prec_patch, expected):
     assert _criterion_3_verdict(recs)[0] is expected
 
 
+@pytest.mark.slow
 def test_criterion_4_noise_floor(capsys):
     spec = preset_spec("fig-noisy")
     recs = run_sweep(spec)
@@ -265,6 +269,7 @@ def test_criterion_5_property_suites(capsys):
             f"failures={failures or 'none'}, elapsed={elapsed:.1f}s (< 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_theorem_shaped_bound(capsys):
     results = []
     for kappa, alpha in ((2.0, 1e-27), (4.0, 1e-15), (7.0, 1e-9)):

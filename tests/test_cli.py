@@ -186,6 +186,41 @@ def test_run_preset_resolves_from_sweep_presets(tmp_path, preset):
         assert meta[key] == str(getattr(spec, field)), key
 
 
+def test_run_default_settings_pinned(tmp_path):
+    # SweepSpec's defaults, with run's own: no target, 1500 iterations and a
+    # patience of 100
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--operator", "identity", "--out", out]) == 0
+    meta = _read_meta(out + ".meta")
+    want = dict(n="60", r_star="3", r="5", eta="0.3", alpha="1e-27",
+                target="None", patience="100", max_iters="1500", sigma="0.0",
+                improve_tol="0.001", record_every="1", backend="dense",
+                damping_frac="0.05")
+    for key, value in want.items():
+        assert meta[key] == value, key
+
+
+@pytest.mark.parametrize("flag, value, key, want", [
+    ("--n", "20", "n", "20"), ("--r-star", "2", "r_star", "2"),
+    ("--r", "4", "r", "4"), ("--kappa", "3", "kappa", "3.0"),
+    ("--m", "400", "m", "400"), ("--backend", "streamed", "backend", "streamed"),
+    ("--eta", "0.2", "eta", "0.2"), ("--lambda", "0.01", "lambda", "0.01"),
+    ("--alpha", "1e-9", "alpha", "1e-09"), ("--sigma", "0.01", "sigma", "0.01"),
+    ("--max-iters", "3", "max_iters", "3"), ("--target", "1e-3", "target", "0.001"),
+    ("--patience", "7", "patience", "7"),
+    ("--improve-tol", "1e-2", "improve_tol", "0.01"),
+    ("--seed", "9", "seed", "9"), ("--record-every", "2", "record_every", "2"),
+])
+def test_run_flag_overrides_preset(tmp_path, flag, value, key, want):
+    # fig-alpha sets none of these to the flag's value; a small m and two
+    # iterations keep even the streamed backend cheap (a later flag wins)
+    out = str(tmp_path / "t.csv")
+    args = ["run", "--preset", "fig-alpha", "--m", "300", "--max-iters", "2",
+            flag, value, "--out", out]
+    assert main(args) == 0
+    assert _read_meta(out + ".meta")[key] == want
+
+
 def test_run_unknown_preset(tmp_path):
     assert main(["run", "--preset", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -254,6 +289,20 @@ def test_sweep_config_accepts_every_spec_field():
     assert _sweep_spec_from_config(raw) == want
 
 
+def test_sweep_config_unknown_preset(tmp_path, capsys):
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("preset = bogus\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unknown preset 'bogus'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_zero_trials(tmp_path, capsys):
+    assert main(["sweep", "--preset", "ci-small", "--trials", "0",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
 def test_config_parse_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("axis kappa\n")
@@ -268,6 +317,11 @@ def test_rip_identity(capsys):
     out = capsys.readouterr().out
     assert "delta_hat=0.000000" in out
     assert "lower bound" in out
+
+
+def test_rip_rank_zero(capsys):
+    assert main(["rip", "--n", "5", "--rank", "0", "--operator", "identity"]) == 2
+    assert "rank must be between 1 and n" in capsys.readouterr().err
 
 
 def test_rip_gaussian_requires_m(capsys):

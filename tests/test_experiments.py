@@ -48,6 +48,10 @@ def test_spec_validation():
         SweepSpec(axis="kappa", values=(2, 1))
     with pytest.raises(ValueError):
         SweepSpec(axis="kappa", values=(1, 2), target_rel_err=None)
+    with pytest.raises(ValueError, match="trials"):
+        SweepSpec(axis="kappa", values=(1, 2), trials=0)
+    with pytest.raises(ValueError, match="lam"):
+        SweepSpec(axis="kappa", values=(1, 2), lam="bogus")
     spec = SweepSpec(axis="kappa", values=(1, 2))
     assert spec.measurements == 10 * 60 * 3
     assert SweepSpec(axis="kappa", values=(1,), m=500).measurements == 500

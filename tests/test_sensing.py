@@ -38,6 +38,14 @@ def test_backend_equivalence():
         assert np.abs(ad - as_).max() <= 1e-12 * max(np.abs(ad).max(), 1.0)
 
 
+def test_dense_rows_are_streamed_rows():
+    # m spans two streamed chunks; both backends take their rows from row_svec
+    dense = gaussian_operator(10, 300, seed=3, backend="dense")
+    streamed = gaussian_operator(10, 300, seed=3, backend="streamed")
+    rows = np.vstack([rows for _, rows in streamed._chunks()])
+    assert np.array_equal(dense._storage, rows)
+
+
 def test_forward_trace_example():
     # single hand-built A_1 = I_2 in svec coordinates
     op = gaussian_operator(2, 1, seed=0, backend="dense")
@@ -185,5 +193,7 @@ def test_rip_validation():
     op = identity_operator(5)
     with pytest.raises(ValueError):
         estimate_rip_constant(op, 6, 10, seed=0)
+    with pytest.raises(ValueError):
+        estimate_rip_constant(op, 0, 10, seed=0)
     with pytest.raises(ValueError):
         estimate_rip_constant(op, 2, 0, seed=0)
