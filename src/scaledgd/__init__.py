@@ -13,8 +13,8 @@ from .sensing import (Measurements, MemoryCapError, RipEstimate, SensingOperator
 from .solver import (ALGORITHMS, DampingEstimate, DivergenceError, IterateState,
                      PreconditionerError, SolverConfig, StoppingRule, Trajectory,
                      estimate_damping, gradient, loss, random_init, run,
-                     spectral_init, step_gd, step_prec_gd, step_scaled_gd,
-                     step_scaled_gd_lambda)
+                     run_batch, spectral_init, step_gd, step_prec_gd,
+                     step_scaled_gd, step_scaled_gd_lambda)
 from .diagnostics import (DeltaNorm, IterateDecomposition, PhaseMetrics,
                           decompose_iterate, delta_norm, orthonormal_complement,
                           phase_metrics, reconstruction_error)

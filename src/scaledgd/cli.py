@@ -22,7 +22,8 @@ from .experiments import (DAMPING_FRAC, PRESETS, TAG_NOISE, TAG_OPERATOR,
 from .problem import NoiseModel, dense_m_star, make_ground_truth
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator, measure
-from .solver import Trajectory, TrajectoryRecord, estimate_damping, run
+from .solver import (DivergenceError, Trajectory, TrajectoryRecord,
+                     estimate_damping, run)
 
 INSTANCE_FORMAT_VERSION = 1
 
@@ -146,8 +147,12 @@ def cmd_run(args) -> int:
 
     checkpoints = []
     hook = (lambda t, x: checkpoints.append((t, x))) if args.checkpoints else None
-    traj = run(op, y, config, oracle=gt,
-               collect_diagnostics=args.diagnostics, checkpoint_hook=hook)
+    diverged = None
+    try:
+        traj = run(op, y, config, oracle=gt,
+                   collect_diagnostics=args.diagnostics, checkpoint_hook=hook)
+    except DivergenceError as exc:  # write what was recorded, then exit 1
+        diverged, traj = exc, exc.trajectory
     emit_csv(traj, args.out)
     if args.checkpoints:
         arrays = {f"x_{t:08d}": x for t, x in checkpoints}
@@ -166,6 +171,8 @@ def cmd_run(args) -> int:
         "final_iter": traj.final_state.t, "final_loss": traj.final_state.loss,
         "version": __version__,
     })
+    if diverged is not None:
+        raise diverged
     last = traj.records[-1]
     print(f"stop={traj.stop_reason} iters={traj.final_state.t} "
           f"loss={traj.final_state.loss:.3e} "
@@ -189,7 +196,7 @@ def _config_value(key: str, text: str):
     if type(None) in kinds and text in ("none", "auto"):
         return None
     if hint is tuple:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(",")) if text else ()
     for kind in kinds:  # float before str, so `lam = auto` stays a string
         if kind is not type(None):
             try:
@@ -199,8 +206,24 @@ def _config_value(key: str, text: str):
     raise CliError(f"bad value {text!r} for sweep config key {key!r}")
 
 
+def _config_text(value) -> str:
+    """A SweepSpec value written as _config_value reads it."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+# the keys of a sweep's sidecar besides its spec.* settings
+_SWEEP_SIDECAR_KEYS = ("kind", "records", "version")
+
+
 def _sweep_spec_from_config(raw: dict, **fields) -> SweepSpec:
-    """A `preset` key's settings, then the other keys, then `fields`."""
+    """A `preset` key's settings, then the other keys, then `fields`.  A
+    sweep's `.meta` sidecar is a config too: its `spec.` keys are the fields."""
+    raw = {key.removeprefix("spec."): text for key, text in raw.items()
+           if key not in _SWEEP_SIDECAR_KEYS}
     kwargs = {key: _config_value(key, text)
               for key, text in raw.items() if key != "preset"}
     kwargs.update(fields)
@@ -219,7 +242,7 @@ def cmd_sweep(args) -> int:
             else _sweep_spec_from_config(_parse_kv_file(args.config), **fields))
     records = run_sweep(spec)
     emit_csv(records, args.out)
-    meta = {f"spec.{k}": getattr(spec, k) for k in spec.__dataclass_fields__}
+    meta = {f"spec.{k}": _config_text(getattr(spec, k)) for k in spec.__dataclass_fields__}
     meta.update({"kind": "sweep", "records": len(records), "version": __version__})
     _write_sidecar(args.out, meta)
     print(f"wrote {len(records)} records to {args.out}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import fix_sv_signs, orthonormal_complement, spectral_norm
-from .problem import GroundTruth, dense_m_star
+from .problem import ApproxTruth, GroundTruth, dense_m_star
 from .sensing import SensingOperator
 
 DELTA_DENSE_GUARD = 2000
@@ -107,13 +107,27 @@ def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
                         signal_norm=signal_norm)
 
 
+def rel_err_op(x: np.ndarray, truth) -> float:
+    """||X X^T - M*|| / ||M*||.
+
+    For a GroundTruth, X X^T - M* lives in span[U*, X].  The QR factors of
+    [U*, X] give it as Q (C C^T - D D^T) Q^T with C = Q^T X and
+    D = Q^T U* diag(sigma*), the columns of R, so the spectral norm is the
+    largest |eigenvalue| of an (r* + r)-sized matrix.  An ApproxTruth has a
+    full-rank tail and takes the dense n x n path."""
+    norm_m = truth.spectral_norm_m()
+    if isinstance(truth, ApproxTruth):
+        return spectral_norm(x @ x.T - dense_m_star(truth))[0] / norm_m
+    _, tri = np.linalg.qr(np.hstack([truth.u_star, x]))
+    c = tri[:, truth.r_star:]
+    d = tri[:, :truth.r_star] * truth.sigma_star
+    return float(np.abs(np.linalg.eigvalsh(c @ c.T - d @ d.T)).max()) / norm_m
+
+
 def reconstruction_error(x: np.ndarray, truth) -> tuple[float, float]:
     """(Frobenius, spectral) error of X X^T against M*, relative to ||M*||."""
-    norm_m = truth.spectral_norm_m()
-    resid = x @ x.T - dense_m_star(truth)
-    rel_fro = float(np.linalg.norm(resid)) / norm_m
-    rel_op = spectral_norm(resid)[0] / norm_m
-    return rel_fro, rel_op
+    rel_fro = float(np.linalg.norm(x @ x.T - dense_m_star(truth))) / truth.spectral_norm_m()
+    return rel_fro, rel_err_op(x, truth)
 
 
 def delta_norm(op: SensingOperator, x: np.ndarray, gt) -> DeltaNorm:

@@ -10,7 +10,6 @@ never perturbs existing ones.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from .problem import NoiseModel, make_ground_truth
 from .rng import derive_seed
 from .sensing import gaussian_operator, measure
-from .solver import (DivergenceError, SolverConfig, StoppingRule, Trajectory,
-                     estimate_damping, run)
+from .solver import (SolverConfig, StoppingRule, Trajectory, estimate_damping,
+                     run_batch)
 
 SENTINEL_ITERS = -1  # target never reached
 # estimate_damping's c_frac for an estimated lambda, in the sweeps and in
@@ -168,23 +167,20 @@ def preset_spec(name: str, **overrides) -> SweepSpec:
 # -- the point runner and the four sweeps -------------------------------------
 
 
-def _run_row(spec, axis_value, trial, op, y, config, oracle) -> ExperimentRecord:
-    """Run one configuration and make its sweep row; a run that diverges gives
-    a "diverged" row with NaN errors and its partial records."""
-    algorithm = config.algorithm
-    start = time.perf_counter()
-    try:
-        traj = run(op, y, config, oracle=oracle)
-    except DivergenceError as exc:
-        return ExperimentRecord(spec.axis, float(axis_value), trial, algorithm,
-                                SENTINEL_ITERS, np.nan, np.nan, "diverged",
-                                (time.perf_counter() - start) * 1e3,
-                                partial_records=exc.records)
-    ms = (time.perf_counter() - start) * 1e3
+def _row(spec, axis_value, trial, config, traj: Trajectory) -> ExperimentRecord:
+    """One run's sweep row.  A run that diverged gives a "diverged" row with
+    NaN errors and its partial records.  wall_ms runs from the start of the
+    point's batch to the run's stop."""
+    ms = traj.final_state.elapsed_ns / 1e6
+    if traj.stop_reason == "diverged":
+        return ExperimentRecord(spec.axis, float(axis_value), trial, config.algorithm,
+                                SENTINEL_ITERS, np.nan, np.nan, "diverged", ms,
+                                partial_records=traj.records)
     last = traj.records[-1]
     iters = traj.final_state.t if traj.stop_reason == "target_reached" else SENTINEL_ITERS
-    return ExperimentRecord(spec.axis, float(axis_value), trial, algorithm, iters,
-                            last.rel_err_fro, last.rel_err_op, traj.stop_reason, ms)
+    return ExperimentRecord(spec.axis, float(axis_value), trial, config.algorithm,
+                            iters, last.rel_err_fro, last.rel_err_op,
+                            traj.stop_reason, ms)
 
 
 def point_config(spec: SweepSpec, seed: int, value, op, y) -> SolverConfig:
@@ -210,7 +206,9 @@ def point_config(spec: SweepSpec, seed: int, value, op, y) -> SolverConfig:
 def _run_point(spec: SweepSpec, axis_index: int, trial: int,
                value) -> list[ExperimentRecord]:
     """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
-    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row."""
+    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row.
+    The runs of a point share its operator and advance in lockstep
+    (run_batch)."""
     if spec.axis == "rank_r":
         value = int(value)
     seed = derive_seed(spec.master_seed, axis_index, trial)
@@ -222,19 +220,18 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
     sigma = value if spec.axis == "noise_sigma" else spec.sigma
     y = measure(op, gt, NoiseModel(sigma=sigma, seed=derive_seed(seed, TAG_NOISE))).y
     cfg = point_config(spec, seed, value, op, y)
-
-    def row(config):
-        return _run_row(spec, value, trial, op, y, config, gt)
-
-    rows = [row(cfg)]
-    if spec.axis == "kappa" and spec.gd_tuning:  # an empty grid skips GD
+    configs = [cfg]
+    if spec.axis == "kappa":
         gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
             else spec.max_iters
-        rows.append(min((row(replace(cfg, algorithm="gd", lam=0.0, eta=eta,
-                                     max_iters=gd_iters))
-                         for eta in spec.gd_tuning), key=_gd_rank_key))
+        configs += [replace(cfg, algorithm="gd", lam=0.0, eta=eta, max_iters=gd_iters)
+                    for eta in spec.gd_tuning]
     elif spec.axis == "rank_r":
-        rows.append(row(replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral")))
+        configs.append(replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral"))
+    rows = [_row(spec, value, trial, config, traj)
+            for config, traj in zip(configs, run_batch(op, y, configs, oracle=gt))]
+    if spec.axis == "kappa" and spec.gd_tuning:  # GD at its best step size
+        rows = [rows[0], min(rows[1:], key=_gd_rank_key)]
     return rows
 
 

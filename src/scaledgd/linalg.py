@@ -32,8 +32,8 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iters: int = 1000):
     """Spectral norm of a symmetric matrix.
 
     Dense eigensolve for n <= DENSE_EIG_CUTOFF, otherwise power iteration
-    with a deterministic start (normalized all-ones) and a Rayleigh-quotient
-    convergence test.  Returns (value, iterations).
+    with a deterministic start (normalized all-ones), stopped once the
+    estimate changes by at most tol relative to itself.  Returns (value, iterations).
     """
     n = a.shape[0]
     if n == 0:
@@ -49,7 +49,7 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iters: int = 1000):
             return 0.0, it
         new_est = norm_w
         v = w / norm_w
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
+        if abs(new_est - est) <= tol * new_est:
             return new_est, it
         est = new_est
     return est, max_iters

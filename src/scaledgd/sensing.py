@@ -63,16 +63,18 @@ class SensingOperator:
     # -- svec coordinates ---------------------------------------------------
 
     def svec(self, mat: np.ndarray) -> np.ndarray:
-        if mat.shape != (self.n, self.n):
+        """svec of an n x n matrix, or the rows svec(M_j) of a k x n x n stack."""
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (self.n, self.n):
             raise ValueError(f"expected {self.n}x{self.n} matrix, got {mat.shape}")
-        sym = 0.5 * (mat + mat.T)
-        return sym[self._iu] * self._scale
+        sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        return sym[..., self._iu[0], self._iu[1]] * self._scale
 
     def unsvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[self._iu] = v / self._scale
-        out = out + out.T
-        out[np.diag_indices(self.n)] *= 0.5
+        out = np.zeros(v.shape[:-1] + (self.n, self.n))
+        out[..., self._iu[0], self._iu[1]] = v / self._scale
+        out = out + np.swapaxes(out, -1, -2)
+        diag = np.arange(self.n)
+        out[..., diag, diag] *= 0.5
         return out
 
     def row_svec(self, i: int) -> np.ndarray:
@@ -102,32 +104,43 @@ class SensingOperator:
 
     # -- forward / adjoint / normal ------------------------------------------
 
+    # Each pass also takes a stack: k matrices (k x n x n) go forward as the
+    # rows of V = [svec(M_j)] to V S^T (k x m), and k residuals R (k x m) come
+    # back as R S, one small gemm per row chunk, so the k share one pass over
+    # the rows.  A single matrix or vector takes the gemv path.
+
     def apply_forward(self, mat: np.ndarray) -> np.ndarray:
         v = self.svec(mat)
         if self.kind == "identity":
             return v
-        y = np.empty(self.m)
+        y = np.empty(v.shape[:-1] + (self.m,))
         for lo, rows in self._chunks():
-            y[lo:lo + len(rows)] = rows @ v
+            y[..., lo:lo + len(rows)] = rows @ v if v.ndim == 1 else v @ rows.T
         return y
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
+        if y.ndim not in (1, 2) or y.shape[-1] != self.m:
             raise ValueError(f"expected length-{self.m} vector, got {y.shape}")
         if self.kind == "identity":
             return self.unsvec(y)
-        acc = np.zeros(self.dim)
+        acc = np.zeros(y.shape[:-1] + (self.dim,))
         for lo, rows in self._chunks():
-            acc += rows.T @ y[lo:lo + len(rows)]
+            part = y[..., lo:lo + len(rows)]
+            acc += rows.T @ part if y.ndim == 1 else part @ rows
         return self.unsvec(acc)
 
-    def residual_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    def residual_grad(self, x: np.ndarray, y: np.ndarray):
         """(f, A*(A(X X^T) - y)) for f = 1/4 ||A(X X^T) - y||^2 at the n x r
         factor X; the matrix times X is the gradient of f.  One forward and
-        one adjoint pass."""
-        resid = self.apply_forward(x @ x.T) - y
-        return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
+        one adjoint pass.  A k x n x r stack of factors gives the k losses as
+        an array and the k matrices as a k x n x n stack, from one stacked
+        pass each way."""
+        if x.ndim == 2:
+            resid = self.apply_forward(x @ x.T) - y
+            return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
+        resid = self.apply_forward(x @ np.swapaxes(x, 1, 2)) - y
+        return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
 
     def apply_normal(self, mat: np.ndarray) -> np.ndarray:
         """A*A(mat); one fused pass per row chunk."""

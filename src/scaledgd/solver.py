@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .diagnostics import decompose_iterate, phase_metrics, rel_err_op
+from .linalg import orthonormal_complement
 from .problem import GroundTruth, dense_m_star
 from .sensing import SensingOperator
 
@@ -35,13 +37,18 @@ class PreconditionerError(np.linalg.LinAlgError):
 
 
 class DivergenceError(RuntimeError):
-    """The loss blew up at iteration t; records holds the TrajectoryRecords
-    made before it."""
+    """The loss blew up at iteration t.  trajectory is the run up to it (stop
+    reason "diverged", final_state the iterate that blew up); records holds
+    the TrajectoryRecords made before it."""
 
-    def __init__(self, message: str, records: tuple = (), t: int = -1):
-        super().__init__(message)
-        self.records = tuple(records)
-        self.t = t
+    def __init__(self, trajectory: "Trajectory"):
+        final = trajectory.final_state
+        loss0 = trajectory.records[0].loss if trajectory.records else final.loss
+        super().__init__(f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
+                         f"initial loss {loss0:.3e} at iteration {final.t}")
+        self.trajectory = trajectory
+        self.records = trajectory.records
+        self.t = final.t
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class Trajectory:
     records: tuple
-    stop_reason: str                 # target_reached | patience | max_iters
+    stop_reason: str   # target_reached | patience | max_iters | diverged (see run_batch)
     final_state: IterateState
 
 
@@ -232,6 +239,119 @@ _DAMPING = {
 }
 
 
+class _Run:
+    """The state of one run in a batch; advance() is one iteration of it."""
+
+    def __init__(self, op, y, config, oracle, collect_diagnostics, checkpoint_hook):
+        if config.stop.target_rel_err is not None and oracle is None:
+            raise ValueError("target_rel_err stopping needs an oracle")
+        self.x = _make_x0(op, y, config)
+        if self.x.shape != (op.n, config.r):
+            raise ValueError(f"x0 shape {self.x.shape} does not match (n, r)")
+        self.config, self.oracle, self.hook = config, oracle, checkpoint_hook
+        self.u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
+        if oracle is not None:
+            self.m_star, self.norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
+        self.damping = _DAMPING[config.algorithm]
+        self.records = []
+        self.loss0 = None
+        self.best_loss = np.inf
+        self.best_t = 0
+        self.trajectory = None
+
+    def advance(self, t, cur_loss, w, start):
+        """Check, record and step at iteration t, given the loss and
+        A*(A(X X^T) - y) at the current iterate; sets self.trajectory when the
+        run stops or diverges."""
+        config, oracle, x = self.config, self.oracle, self.x
+        stop = config.stop
+        if self.loss0 is None:
+            self.loss0 = cur_loss
+        if not np.isfinite(cur_loss) or (
+                self.loss0 > 0 and cur_loss > DIVERGENCE_FACTOR * self.loss0):
+            self._finish("diverged", t, cur_loss, start)
+            return
+
+        rel_fro = rel_op = None
+        if oracle is not None:
+            rel_fro = float(np.linalg.norm(x @ x.T - self.m_star)) / self.norm_m
+
+        stop_reason = None
+        if stop.target_rel_err is not None and rel_fro <= stop.target_rel_err:
+            stop_reason = "target_reached"
+        elif stop.patience is not None:
+            if cur_loss < self.best_loss * (1.0 - stop.improve_tol):
+                self.best_loss = cur_loss
+                self.best_t = t
+            elif t - self.best_t >= stop.patience:
+                stop_reason = "patience"
+        if stop_reason is None and t == config.max_iters:
+            stop_reason = "max_iters"
+
+        if t % config.record_every == 0 or stop_reason is not None:
+            if self.hook is not None:
+                self.hook(t, x.copy())
+            metrics = None
+            if oracle is not None:
+                rel_op = rel_err_op(x, oracle)
+            if self.u_perp is not None:
+                metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=self.u_perp),
+                                        oracle, config.lam)
+            self.records.append(TrajectoryRecord(
+                t=t, loss=cur_loss, rel_err_fro=rel_fro, rel_err_op=rel_op,
+                metrics=metrics,
+                elapsed_ms=(time.perf_counter_ns() - start) / 1e6))
+        if stop_reason is not None:
+            self._finish(stop_reason, t, cur_loss, start)
+            return
+
+        lam_t = self.damping(config, cur_loss)
+        if lam_t is None:
+            self.x = step_gd(x, w @ x, config.eta)
+        else:
+            self.x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
+
+    def _finish(self, stop_reason, t, cur_loss, start):
+        final = IterateState(x=self.x, t=t, loss=cur_loss,
+                             elapsed_ns=time.perf_counter_ns() - start)
+        self.trajectory = Trajectory(records=tuple(self.records),
+                                     stop_reason=stop_reason, final_state=final)
+
+
+def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
+              collect_diagnostics: bool = False, checkpoint_hook=None) -> list:
+    """Run k configurations on one operator in lockstep and return their
+    trajectories, in order.
+
+    Each iteration makes one forward and one adjoint pass for all the runs
+    still going (a stacked pass for two or more, the single-run pass for
+    one).  Every run keeps its own stopping rules, record cadence and steps,
+    as run() describes; a run leaves the batch when it stops.  A run whose
+    loss blows up leaves with stop reason "diverged", its records made before
+    the blow-up and, as final state, the iterate that blew up.  elapsed_ms
+    and elapsed_ns count from the batch's start.  checkpoint_hook, when
+    given, is called as hook(t, x) at every record point of every run.
+    """
+    if collect_diagnostics and not isinstance(oracle, GroundTruth):
+        raise ValueError("diagnostics need a GroundTruth oracle")
+    start = time.perf_counter_ns()
+    runs = [_Run(op, y, config, oracle, collect_diagnostics, checkpoint_hook)
+            for config in configs]
+    active = list(runs)
+    t = 0
+    while active:
+        if len(active) == 1:
+            losses, ws = op.residual_grad(active[0].x, y)
+            losses, ws = [losses], [ws]
+        else:
+            losses, ws = op.residual_grad(np.stack([r.x for r in active]), y)
+        for state, cur_loss, w in zip(active, losses, ws):
+            state.advance(t, float(cur_loss), w, start)
+        active = [state for state in active if state.trajectory is None]
+        t += 1
+    return [state.trajectory for state in runs]
+
+
 def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
         oracle=None, collect_diagnostics: bool = False,
         checkpoint_hook=None) -> Trajectory:
@@ -243,80 +363,10 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     Diagnostics (phase metrics) are computed only at record points and only
     on request; they need a GroundTruth oracle.  checkpoint_hook, when given,
     is called as hook(t, x) at every record point.  A loss that blows up
-    raises DivergenceError carrying the records made so far.
+    raises DivergenceError carrying the records made so far.  This is
+    run_batch with one configuration.
     """
-    from .diagnostics import phase_metrics, decompose_iterate
-    from .linalg import orthonormal_complement, spectral_norm
-
-    stop = config.stop
-    if stop.target_rel_err is not None and oracle is None:
-        raise ValueError("target_rel_err stopping needs an oracle")
-    if collect_diagnostics and not isinstance(oracle, GroundTruth):
-        raise ValueError("diagnostics need a GroundTruth oracle")
-
-    x = _make_x0(op, y, config)
-    if x.shape != (op.n, config.r):
-        raise ValueError(f"x0 shape {x.shape} does not match (n, r)")
-    u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
-    if oracle is not None:
-        m_star, norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
-    damping = _DAMPING[config.algorithm]
-
-    records = []
-    start = time.perf_counter_ns()
-    loss0 = None
-    best_loss = np.inf
-    best_t = 0
-
-    for t in range(config.max_iters + 1):
-        cur_loss, w = op.residual_grad(x, y)
-        if loss0 is None:
-            loss0 = cur_loss
-        if not np.isfinite(cur_loss) or (loss0 > 0 and cur_loss > DIVERGENCE_FACTOR * loss0):
-            raise DivergenceError(
-                f"loss {cur_loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial "
-                f"loss {loss0:.3e} at iteration {t}", records=records, t=t)
-
-        rel_fro = rel_op = None
-        if oracle is not None:
-            mt = x @ x.T
-            rel_fro = float(np.linalg.norm(mt - m_star)) / norm_m
-
-        stop_reason = None
-        if stop.target_rel_err is not None and rel_fro <= stop.target_rel_err:
-            stop_reason = "target_reached"
-        elif stop.patience is not None:
-            if cur_loss < best_loss * (1.0 - stop.improve_tol):
-                best_loss = cur_loss
-                best_t = t
-            elif t - best_t >= stop.patience:
-                stop_reason = "patience"
-        if stop_reason is None and t == config.max_iters:
-            stop_reason = "max_iters"
-
-        if t % config.record_every == 0 or stop_reason is not None:
-            if checkpoint_hook is not None:
-                checkpoint_hook(t, x.copy())
-            metrics = None
-            if oracle is not None:
-                rel_op = spectral_norm(mt - m_star)[0] / norm_m
-            if collect_diagnostics:
-                metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=u_perp),
-                                        oracle, config.lam)
-            records.append(TrajectoryRecord(
-                t=t, loss=cur_loss, rel_err_fro=rel_fro, rel_err_op=rel_op,
-                metrics=metrics,
-                elapsed_ms=(time.perf_counter_ns() - start) / 1e6))
-        if stop_reason is not None:
-            break
-
-        lam_t = damping(config, cur_loss)
-        if lam_t is None:
-            x = step_gd(x, w @ x, config.eta)
-        else:
-            x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
-
-    final = IterateState(x=x, t=t, loss=cur_loss,
-                         elapsed_ns=time.perf_counter_ns() - start)
-    return Trajectory(records=tuple(records), stop_reason=stop_reason,
-                      final_state=final)
+    traj, = run_batch(op, y, [config], oracle, collect_diagnostics, checkpoint_hook)
+    if traj.stop_reason == "diverged":
+        raise DivergenceError(traj)
+    return traj

@@ -258,6 +258,49 @@ def test_sweep_preset_and_config(tmp_path):
     assert meta["records"] == "4"
 
 
+def test_run_divergence_writes_partial_trajectory(tmp_path, capsys):
+    # ScaledGD (lambda = 0) blows up at iteration 1 on this instance: the CSV
+    # keeps the record made before it, the sidecar says so, and the exit is 1
+    out = str(tmp_path / "div.csv")
+    assert main(["run", "--algorithm", "scaled-gd", "--n", "20", "--r-star", "2",
+                 "--r", "3", "--kappa", "3", "--max-iters", "300",
+                 "--out", out]) == 1
+    assert "exceeded 1e+06 x initial loss" in capsys.readouterr().err
+    rows = _read_csv(out)
+    assert rows[0] == list(TRAJECTORY_COLUMNS)
+    assert [row[0] for row in rows[1:]] == ["0"]
+    meta = _read_meta(out + ".meta")
+    assert meta["stop_reason"] == "diverged"
+    assert meta["final_iter"] == "1"
+    assert float(meta["final_loss"]) > 1e6 * float(rows[1][1])
+
+
+def _without_wall_ms(rows):
+    col = SWEEP_COLUMNS.index("wall_ms")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("config", [
+    # a preset's settings (a tuple of GD step sizes, m = None) with a cheap slice
+    "preset = ci-small\nvalues = 1,2\nn = 12\nr_star = 2\nmax_iters = 300\n"
+    "gd_max_iters = 100\ntrials = 1\n",
+    # no target, an empty GD grid and a fixed lambda
+    "axis = rank_r\nvalues = 3,4\nn = 12\nr_star = 2\ntarget_rel_err = none\n"
+    "patience = 50\nmax_iters = 300\ngd_tuning =\nlam = 0.01\ntrials = 1\n",
+], ids=["preset", "fields"])
+def test_sweep_sidecar_reruns_as_config(tmp_path, config):
+    # a sweep's sidecar is a config: re-running it gives the same rows
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", first]) == 0
+    meta = _read_meta(first + ".meta")
+    assert "None" not in meta.values() and not any("(" in v for v in meta.values())
+    assert main(["sweep", "--config", first + ".meta", "--out", second]) == 0
+    assert _without_wall_ms(_read_csv(first)) == _without_wall_ms(_read_csv(second))
+    assert _read_meta(second + ".meta") == meta
+
+
 def test_sweep_flag_conflicts(tmp_path, capsys):
     out = str(tmp_path / "s.csv")
     assert main(["sweep", "--out", out]) == 2

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from scaledgd.diagnostics import (decompose_iterate, delta_norm, phase_metrics,
-                                  reconstruction_error)
+                                  reconstruction_error, rel_err_op)
 from scaledgd.linalg import (fix_sv_signs, orthonormal_complement,
                              spectral_norm)
-from scaledgd.problem import dense_m_star, make_ground_truth
+from scaledgd.problem import dense_m_star, make_approx_truth, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import SolverConfig, StoppingRule, run
 
@@ -47,6 +47,55 @@ def test_spectral_norm_diag_and_power_path():
     assert val == pytest.approx(expect, rel=1e-8)
     assert iters >= 1
     assert spectral_norm(np.zeros((80, 80)))[0] == 0.0
+
+
+def test_spectral_norm_power_path_is_relative_for_small_norms():
+    # above the eigh cutoff, a matrix of norm 1e-9 gets a relative stop test,
+    # not one absolute in the estimate
+    gen = np.random.default_rng(5)
+    q, _ = np.linalg.qr(gen.normal(size=(80, 80)))
+    spectrum = np.linspace(-0.6, 0.6, 80)
+    spectrum[0] = 1.0
+    a = 1e-9 * (q * spectrum) @ q.T
+    a = 0.5 * (a + a.T)
+    expect = np.abs(np.linalg.eigvalsh(a)).max()
+    val, iters = spectral_norm(a)
+    assert abs(val - expect) <= 1e-8 * expect
+    assert iters > 1
+
+
+def _dense_rel_err_op(x, truth):
+    resid = x @ x.T - dense_m_star(truth)
+    return float(np.abs(np.linalg.eigvalsh(resid)).max()) / truth.spectral_norm_m()
+
+
+def test_projected_rel_err_op_matches_dense_eigensolve():
+    # rel_err_op from the (r* + r)-sized projection onto span[U*, X] equals
+    # the largest |eigenvalue| of the dense n x n error within 1e-13
+    gen = np.random.default_rng(6)
+    gt = make_ground_truth(60, 3, 7.0, seed=16)
+    near = np.hstack([gt.x_star, np.zeros((60, 2))]) + 1e-6 * gen.normal(size=(60, 5))
+    in_span = gt.u_star @ gen.normal(size=(3, 5))
+    deficient = gen.normal(size=(60, 5))
+    deficient[:, 3:] = deficient[:, :2]          # rank 3 of 5
+    iterates = [
+        1e-27 * gen.normal(size=(60, 5)) / np.sqrt(60),  # the presets' alpha
+        np.zeros((60, 5)),
+        near,
+        in_span,
+        deficient,
+        gen.normal(size=(60, 20)),                    # r = 20
+        np.hstack([gt.x_star, 1e-5 * gen.normal(size=(60, 17))]),
+    ]
+    for x in iterates:
+        assert abs(rel_err_op(x, gt) - _dense_rel_err_op(x, gt)) <= 1e-13
+    assert rel_err_op(gt.x_star, gt) <= 1e-14
+
+
+def test_rel_err_op_approx_truth_takes_dense_path():
+    at = make_approx_truth(20, 2, 3.0, 0.5, seed=17)
+    x = np.random.default_rng(7).normal(size=(20, 3))
+    assert abs(rel_err_op(x, at) - _dense_rel_err_op(x, at)) <= 1e-13
 
 
 def test_fix_sv_signs_canonical():

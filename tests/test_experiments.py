@@ -3,13 +3,14 @@ import csv
 import numpy as np
 import pytest
 
+from scaledgd import experiments
 from scaledgd.experiments import (PRESETS, SENTINEL_ITERS, SWEEP_COLUMNS,
                                   TRAJECTORY_COLUMNS, SweepSpec, emit_csv,
                                   fit_loglog_slope, minimax_reference,
                                   preset_spec, run_sweep)
 from scaledgd.problem import make_ground_truth
 from scaledgd.sensing import gaussian_operator, measure
-from scaledgd.solver import SolverConfig, StoppingRule, run
+from scaledgd.solver import DivergenceError, SolverConfig, StoppingRule, run
 
 
 def test_minimax_reference_values():
@@ -243,3 +244,37 @@ def test_diverged_row_keeps_partial_records():
     assert ts and ts == list(range(len(ts)))
     assert all(np.isfinite(rec.loss) and np.isfinite(rec.rel_err_fro)
                for rec in gd.partial_records)
+
+
+def _one_at_a_time(op, y, configs, oracle=None):
+    # run_batch's contract, one configuration at a time through run()
+    out = []
+    for config in configs:
+        try:
+            out.append(run(op, y, config, oracle=oracle))
+        except DivergenceError as exc:
+            out.append(exc.trajectory)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(axis="kappa", values=(1, 5), n=20, r_star=2, r=4, max_iters=500,
+              gd_tuning=(0.2, 0.4, 0.6), gd_max_iters=300, trials=1),
+    SweepSpec(axis="rank_r", values=(3, 8), n=20, r_star=2, max_iters=500,
+              trials=1),
+    SweepSpec(axis="kappa", values=(2,), n=10, gd_tuning=(50.0,),
+              max_iters=200, trials=1),
+], ids=["kappa", "rank", "diverging-gd"])
+def test_point_rows_match_runs_alone(monkeypatch, spec):
+    # a point's runs advance in lockstep; each row is what the run gives alone
+    batched = run_sweep(spec)
+    monkeypatch.setattr(experiments, "run_batch", _one_at_a_time)
+    alone = run_sweep(spec)
+    assert len(batched) == len(alone)
+    for b, a in zip(batched, alone):
+        assert (b.axis_value, b.algorithm, b.stop_reason, b.iters_to_target) == \
+            (a.axis_value, a.algorithm, a.stop_reason, a.iters_to_target)
+        for got, want in ((b.final_rel_err_fro, a.final_rel_err_fro),
+                          (b.final_rel_err_op, a.final_rel_err_op)):
+            assert abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
+        assert [r.t for r in b.partial_records] == [r.t for r in a.partial_records]

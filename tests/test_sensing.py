@@ -38,6 +38,46 @@ def test_backend_equivalence():
         assert np.abs(ad - as_).max() <= 1e-12 * max(np.abs(ad).max(), 1.0)
 
 
+@pytest.mark.parametrize("make_op", [
+    lambda: gaussian_operator(10, 300, seed=4, backend="dense"),
+    lambda: gaussian_operator(10, 300, seed=4, backend="streamed"),  # two chunks
+    lambda: identity_operator(10),
+])
+def test_stacked_passes_match_single_passes(make_op):
+    # a stack of k matrices, residuals or factors gives, row by row, what one
+    # matrix, residual or factor at a time gives, within 1e-12 relative
+    op = make_op()
+    gen = np.random.default_rng(3)
+    mats = np.stack([_rand_sym(gen, 10) for _ in range(3)])
+    resids = gen.normal(size=(3, op.m))
+    factors = gen.normal(size=(3, 10, 4))
+    y = gen.normal(size=op.m)
+    forward, adjoint = op.apply_forward(mats), op.apply_adjoint(resids)
+    losses, grads = op.residual_grad(factors, y)
+    assert forward.shape == (3, op.m) and adjoint.shape == (3, 10, 10)
+    assert losses.shape == (3,) and grads.shape == (3, 10, 10)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for j in range(3):
+        assert close(forward[j], op.apply_forward(mats[j]))
+        assert close(adjoint[j], op.apply_adjoint(resids[j]))
+        f, w = op.residual_grad(factors[j], y)
+        assert abs(losses[j] - f) <= 1e-12 * f
+        assert close(grads[j], w)
+
+
+def test_stacked_pass_shape_errors():
+    op = gaussian_operator(4, 20, seed=1)
+    with pytest.raises(ValueError):
+        op.apply_forward(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.zeros((2, 21)))
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.zeros((2, 2, 20)))
+
+
 def test_dense_rows_are_streamed_rows():
     # m spans two streamed chunks; both backends take their rows from row_svec
     dense = gaussian_operator(10, 300, seed=3, backend="dense")

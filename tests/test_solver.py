@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import (DivergenceError, PreconditionerError, SolverConfig,
                              StoppingRule, _solve_preconditioner,
                              estimate_damping, gradient, loss, random_init, run,
-                             spectral_init, step_gd, step_prec_gd,
+                             run_batch, spectral_init, step_gd, step_prec_gd,
                              step_scaled_gd, step_scaled_gd_lambda)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -305,6 +306,75 @@ def test_divergence_guard():
     for rec in records:
         assert np.isfinite(rec.loss) and np.isfinite(rec.rel_err_fro)
         assert np.isfinite(rec.rel_err_op)
+
+
+def _alone(op, y, config, oracle):
+    try:
+        return run(op, y, config, oracle=oracle)
+    except DivergenceError as exc:
+        return exc.trajectory
+
+
+def _assert_same_run(batched, alone, norm_m):
+    # lockstep and one-at-a-time runs agree in their stop and record points
+    # and in their final errors.  Mid-run they can part by more: the
+    # surplus and not yet grown signal directions amplify rounding
+    # differences before the iterates contract again.  X itself may rotate
+    # within near-null directions; X X^T may not.
+    assert batched.stop_reason == alone.stop_reason
+    assert batched.final_state.t == alone.final_state.t
+    assert [r.t for r in batched.records] == [r.t for r in alone.records]
+    if batched.stop_reason == "diverged":
+        return
+    last_b, last_a = batched.records[-1], alone.records[-1]
+    assert abs(last_b.rel_err_fro - last_a.rel_err_fro) <= 1e-12
+    assert abs(last_b.rel_err_op - last_a.rel_err_op) <= 1e-12
+    xb, xa = batched.final_state.x, alone.final_state.x
+    assert np.linalg.norm(xb @ xb.T - xa @ xa.T) <= 1e-12 * norm_m
+
+
+def test_run_batch_matches_runs_alone():
+    # ScaledGD(lambda), GD at three step sizes and PrecGD on one operator
+    # stop at 156, 400 and 140 iterations, so the batch shrinks as they leave
+    gt = make_ground_truth(20, 2, 4, seed=3)
+    op = gaussian_operator(20, 400, seed=4)
+    y = measure(op, gt).y
+    lam = estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
+    base = SolverConfig(algorithm="scaled_gd_lambda", r=4, eta=0.3, lam=lam,
+                        alpha=1e-27, max_iters=400,
+                        stop=StoppingRule(target_rel_err=1e-9), seed_init=5,
+                        record_every=7)
+    configs = [base] + [replace(base, algorithm="gd", lam=0.0, eta=eta)
+                        for eta in (0.2, 0.4, 0.6)]
+    configs.append(replace(base, algorithm="prec_gd", lam=0.0, init="spectral"))
+    batched = run_batch(op, y, configs, oracle=gt)
+    assert [traj.final_state.t for traj in batched] == [156, 400, 400, 400, 140]
+    for config, traj in zip(configs, batched):
+        _assert_same_run(traj, _alone(op, y, config, gt), gt.spectral_norm_m())
+
+
+def test_run_batch_keeps_diverged_run_and_the_others():
+    # GD at eta = 50 blows up inside the batch: it leaves with its records,
+    # and the other runs go on as they would alone
+    gt = make_ground_truth(10, 2, 2, seed=6)
+    op = gaussian_operator(10, 200, seed=7)
+    y = measure(op, gt).y
+    lam = estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
+    base = SolverConfig(algorithm="scaled_gd_lambda", r=3, eta=0.3, lam=lam,
+                        alpha=1e-27, max_iters=150,
+                        stop=StoppingRule(target_rel_err=1e-9), seed_init=8)
+    configs = [base, replace(base, algorithm="gd", lam=0.0, eta=50.0, alpha=0.5),
+               replace(base, algorithm="gd", lam=0.0, eta=0.3)]
+    batched = run_batch(op, y, configs, oracle=gt)
+    assert [traj.stop_reason for traj in batched] == \
+        ["target_reached", "diverged", "max_iters"]
+    diverged = batched[1]
+    assert diverged.records and diverged.final_state.t > diverged.records[-1].t
+    with pytest.raises(DivergenceError) as info:
+        run(op, y, configs[1], oracle=gt)
+    assert info.value.t == diverged.final_state.t
+    for config, traj in zip(configs, batched):
+        _assert_same_run(traj, _alone(op, y, config, gt), gt.spectral_norm_m())
 
 
 def test_preconditioner_singularity():
