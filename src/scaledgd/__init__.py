@@ -12,12 +12,11 @@ from .sensing import (Measurements, MemoryCapError, RipEstimate, SensingOperator
                       identity_operator, measure)
 from .solver import (ALGORITHMS, DampingEstimate, DivergenceError, IterateState,
                      PreconditionerError, SolverConfig, StoppingRule, Trajectory,
-                     estimate_damping, gradient, loss, random_init, run,
-                     run_batch, spectral_init, step_gd, step_prec_gd,
-                     step_scaled_gd, step_scaled_gd_lambda)
-from .diagnostics import (DeltaNorm, IterateDecomposition, PhaseMetrics,
-                          decompose_iterate, delta_norm, orthonormal_complement,
-                          phase_metrics, reconstruction_error)
+                     estimate_damping, random_init, run, run_batch,
+                     spectral_init, step_gd, step_prec_gd, step_scaled_gd,
+                     step_scaled_gd_lambda)
+from .diagnostics import (IterateDecomposition, PhaseMetrics, decompose_iterate,
+                          orthonormal_complement, phase_metrics, rel_err_op)
 from .experiments import (ExperimentRecord, PRESETS, SweepSpec, emit_csv,
                           fit_loglog_slope, minimax_reference, preset_spec,
                           run_sweep, sweep_condition_number, sweep_init_scale,

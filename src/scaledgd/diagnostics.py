@@ -18,9 +18,6 @@ import numpy as np
 
 from .linalg import fix_sv_signs, orthonormal_complement, spectral_norm
 from .problem import ApproxTruth, GroundTruth, dense_m_star
-from .sensing import SensingOperator
-
-DELTA_DENSE_GUARD = 2000
 
 
 @dataclass(frozen=True)
@@ -48,13 +45,6 @@ class PhaseMetrics:
     gamma_norm: float         # ||Sigma*^{-1}(S~ S~^T - Sigma*^2) Sigma*^{-1}||
     overparam_norm: float     # ||O~||
     signal_norm: float        # ||S~||
-
-
-@dataclass(frozen=True)
-class DeltaNorm:
-    value: float
-    iters: int
-    tol: float
 
 
 def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
@@ -122,20 +112,3 @@ def rel_err_op(x: np.ndarray, truth) -> float:
     c = tri[:, truth.r_star:]
     d = tri[:, :truth.r_star] * truth.sigma_star
     return float(np.abs(np.linalg.eigvalsh(c @ c.T - d @ d.T)).max()) / norm_m
-
-
-def reconstruction_error(x: np.ndarray, truth) -> tuple[float, float]:
-    """(Frobenius, spectral) error of X X^T against M*, relative to ||M*||."""
-    rel_fro = float(np.linalg.norm(x @ x.T - dense_m_star(truth))) / truth.spectral_norm_m()
-    return rel_fro, rel_err_op(x, truth)
-
-
-def delta_norm(op: SensingOperator, x: np.ndarray, gt) -> DeltaNorm:
-    """Spectral norm of (I - A*A)(X X^T - M*)."""
-    if op.n > DELTA_DENSE_GUARD:
-        raise ValueError(f"delta_norm forms a dense n x n residual; n <= {DELTA_DENSE_GUARD} required")
-    resid = x @ x.T - dense_m_star(gt)
-    err = resid - op.apply_normal(resid)
-    tol = 1e-10
-    value, iters = spectral_norm(err, tol=tol)
-    return DeltaNorm(value=value, iters=iters, tol=tol)

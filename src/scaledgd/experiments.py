@@ -17,15 +17,10 @@ import numpy as np
 from .problem import NoiseModel, make_ground_truth
 from .rng import derive_seed
 from .sensing import gaussian_operator, measure
-from .solver import (SolverConfig, StoppingRule, Trajectory, estimate_damping,
-                     run_batch)
+from .solver import (DAMPING_FRAC, SolverConfig, StoppingRule, Trajectory,
+                     estimate_damping, run_batch)
 
 SENTINEL_ITERS = -1  # target never reached
-# estimate_damping's c_frac for an estimated lambda, in the sweeps and in
-# `scaledgd run`.  The damping theory tolerates underestimating sigma_min^2 by
-# 100x but not overestimating it, and the rank_guess-th eigenvalue of A*(y)
-# sits on the sensing noise floor at m = 10 n r*.
-DAMPING_FRAC = 0.05
 
 # tags for per-run seed derivation, in the sweeps and in `scaledgd run`
 TAG_TRUTH, TAG_OPERATOR, TAG_INIT, TAG_NOISE = 1, 2, 3, 4
@@ -79,6 +74,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise ValueError(f"lam must be a number or 'auto', got {self.lam!r}")
+        if self.backend not in ("dense", "streamed"):
+            raise ValueError(f"unknown backend {self.backend!r}")
 
     @property
     def measurements(self) -> int:

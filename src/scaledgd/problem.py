@@ -8,7 +8,7 @@ with condition number kappa.  The spectrum is normalized so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,18 +82,7 @@ class NoiseModel:
         return self.sigma * rng.normals(self.seed, _NOISE_STREAM, m)
 
 
-def _spectrum(kappa: float, r_star: int, spacing: str) -> np.ndarray:
-    if r_star == 1:
-        return np.array([1.0])
-    if spacing == "linear":
-        return np.linspace(1.0, 1.0 / kappa, r_star)
-    if spacing == "geometric":
-        return np.geomspace(1.0, 1.0 / kappa, r_star)
-    raise ValueError(f"unknown spectrum spacing {spacing!r}")
-
-
-def make_ground_truth(n: int, r_star: int, kappa: float, seed: int,
-                      spacing: str = "linear") -> GroundTruth:
+def make_ground_truth(n: int, r_star: int, kappa: float, seed: int) -> GroundTruth:
     """Draw a planted instance with condition number exactly `kappa`.
 
     u_star is the Q factor of an i.i.d. Gaussian n x r_star matrix with
@@ -111,7 +100,7 @@ def make_ground_truth(n: int, r_star: int, kappa: float, seed: int,
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     u_star = q * signs
-    sigma_star = _spectrum(float(kappa), r_star, spacing)
+    sigma_star = np.linspace(1.0, 1.0 / float(kappa), r_star)
     return GroundTruth(n=n, r_star=r_star, u_star=u_star,
                        sigma_star=sigma_star, seed=seed)
 
@@ -128,7 +117,7 @@ def dense_m_star(truth) -> np.ndarray:
 
 
 def make_approx_truth(n: int, r_star: int, kappa: float, tail_decay: float,
-                      seed: int, spacing: str = "linear") -> ApproxTruth:
+                      seed: int) -> ApproxTruth:
     """Planted instance plus a geometric PSD tail.
 
     Tail eigenvalues are sigma_star[-1]^2 * tail_decay^k for k = 1..n-r_star,
@@ -137,7 +126,7 @@ def make_approx_truth(n: int, r_star: int, kappa: float, tail_decay: float,
     """
     if not 0.0 < tail_decay < 1.0:
         raise ValueError("tail_decay must lie in (0, 1)")
-    base = make_ground_truth(n, r_star, kappa, seed, spacing=spacing)
+    base = make_ground_truth(n, r_star, kappa, seed)
     sig_min_sq = float(base.sigma_star[-1] ** 2)
     k = np.arange(1, n - r_star + 1, dtype=float)
     tail_spectrum = sig_min_sq * tail_decay**k

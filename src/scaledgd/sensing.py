@@ -102,7 +102,7 @@ class SensingOperator:
             return self.unsvec(self._storage[i])
         return self.unsvec(self.row_svec(i))
 
-    # -- forward / adjoint / normal ------------------------------------------
+    # -- forward / adjoint -------------------------------------------------
 
     # Each pass also takes a stack: k matrices (k x n x n) go forward as the
     # rows of V = [svec(M_j)] to V S^T (k x m), and k residuals R (k x m) come
@@ -141,16 +141,6 @@ class SensingOperator:
             return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
         resid = self.apply_forward(x @ np.swapaxes(x, 1, 2)) - y
         return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
-
-    def apply_normal(self, mat: np.ndarray) -> np.ndarray:
-        """A*A(mat); one fused pass per row chunk."""
-        v = self.svec(mat)
-        if self.kind == "identity":
-            return self.unsvec(v)
-        acc = np.zeros(self.dim)
-        for _, rows in self._chunks():
-            acc += rows.T @ (rows @ v)
-        return self.unsvec(acc)
 
 
 def gaussian_operator(n: int, m: int, seed: int, backend: str = "dense",

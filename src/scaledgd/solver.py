@@ -30,6 +30,11 @@ ALGORITHMS = ("scaled_gd_lambda", "gd", "scaled_gd", "prec_gd")
 
 _INIT_STREAM = 0
 DIVERGENCE_FACTOR = 1e6
+# estimate_damping's c_frac, in the sweeps and in `scaledgd run`.  The damping
+# theory tolerates underestimating sigma_min^2 by 100x but not overestimating
+# it, and the rank_guess-th eigenvalue of A*(y) sits on the sensing noise
+# floor at m = 10 n r*.
+DAMPING_FRAC = 0.05
 
 
 class PreconditionerError(np.linalg.LinAlgError):
@@ -133,15 +138,7 @@ class Trajectory:
     final_state: IterateState
 
 
-# -- loss / gradient / steps --------------------------------------------------
-
-def loss(op: SensingOperator, y: np.ndarray, x: np.ndarray) -> float:
-    return op.residual_grad(x, y)[0]
-
-
-def gradient(op: SensingOperator, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return op.residual_grad(x, y)[1] @ x
-
+# -- steps --------------------------------------------------------------------
 
 def _solve_preconditioner(x: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
     """grad @ (x^T x + lam I)^{-1}: Cholesky factor L of the r x r system, then
@@ -205,7 +202,7 @@ class DampingEstimate:
 
 
 def estimate_damping(op: SensingOperator, y: np.ndarray, rank_guess: int,
-                     c_frac: float = 0.25) -> DampingEstimate:
+                     c_frac: float = DAMPING_FRAC) -> DampingEstimate:
     """Practical damping surrogate: a fraction of the rank_guess-th eigenvalue
     of A*(y), floored at 1e-12 times the top eigenvalue."""
     if not 1 <= rank_guess <= op.n:
@@ -242,13 +239,13 @@ _DAMPING = {
 class _Run:
     """The state of one run in a batch; advance() is one iteration of it."""
 
-    def __init__(self, op, y, config, oracle, collect_diagnostics, checkpoint_hook):
+    def __init__(self, op, y, config, oracle, collect_diagnostics):
         if config.stop.target_rel_err is not None and oracle is None:
             raise ValueError("target_rel_err stopping needs an oracle")
         self.x = _make_x0(op, y, config)
         if self.x.shape != (op.n, config.r):
             raise ValueError(f"x0 shape {self.x.shape} does not match (n, r)")
-        self.config, self.oracle, self.hook = config, oracle, checkpoint_hook
+        self.config, self.oracle = config, oracle
         self.u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
         if oracle is not None:
             self.m_star, self.norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
@@ -289,8 +286,6 @@ class _Run:
             stop_reason = "max_iters"
 
         if t % config.record_every == 0 or stop_reason is not None:
-            if self.hook is not None:
-                self.hook(t, x.copy())
             metrics = None
             if oracle is not None:
                 rel_op = rel_err_op(x, oracle)
@@ -319,7 +314,7 @@ class _Run:
 
 
 def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
-              collect_diagnostics: bool = False, checkpoint_hook=None) -> list:
+              collect_diagnostics: bool = False) -> list:
     """Run k configurations on one operator in lockstep and return their
     trajectories, in order.
 
@@ -329,13 +324,12 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     as run() describes; a run leaves the batch when it stops.  A run whose
     loss blows up leaves with stop reason "diverged", its records made before
     the blow-up and, as final state, the iterate that blew up.  elapsed_ms
-    and elapsed_ns count from the batch's start.  checkpoint_hook, when
-    given, is called as hook(t, x) at every record point of every run.
+    and elapsed_ns count from the batch's start.
     """
     if collect_diagnostics and not isinstance(oracle, GroundTruth):
         raise ValueError("diagnostics need a GroundTruth oracle")
     start = time.perf_counter_ns()
-    runs = [_Run(op, y, config, oracle, collect_diagnostics, checkpoint_hook)
+    runs = [_Run(op, y, config, oracle, collect_diagnostics)
             for config in configs]
     active = list(runs)
     t = 0
@@ -353,20 +347,18 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
 
 
 def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
-        oracle=None, collect_diagnostics: bool = False,
-        checkpoint_hook=None) -> Trajectory:
+        oracle=None, collect_diagnostics: bool = False) -> Trajectory:
     """Iterate the configured algorithm and return the trajectory.
 
     When an oracle (GroundTruth or ApproxTruth) is supplied, per-iteration
     relative errors against M* are recorded and the target stopping rule is
     active.  Records are made every record_every iterations and at the stop.
     Diagnostics (phase metrics) are computed only at record points and only
-    on request; they need a GroundTruth oracle.  checkpoint_hook, when given,
-    is called as hook(t, x) at every record point.  A loss that blows up
-    raises DivergenceError carrying the records made so far.  This is
-    run_batch with one configuration.
+    on request; they need a GroundTruth oracle.  A loss that blows up raises
+    DivergenceError carrying the records made so far.  This is run_batch
+    with one configuration.
     """
-    traj, = run_batch(op, y, [config], oracle, collect_diagnostics, checkpoint_hook)
+    traj, = run_batch(op, y, [config], oracle, collect_diagnostics)
     if traj.stop_reason == "diverged":
         raise DivergenceError(traj)
     return traj

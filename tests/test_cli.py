@@ -1,10 +1,12 @@
+import argparse
 import csv
+import shlex
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from scaledgd import __version__
-from scaledgd.cli import _sweep_spec_from_config, main
+from scaledgd.cli import _spec_fields, _sweep_spec_from_config, build_parser, main
 from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
                                   preset_spec)
 from scaledgd.problem import NoiseModel, make_ground_truth
@@ -32,27 +34,6 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
-
-
-def test_gen_and_meta(tmp_path):
-    out = str(tmp_path / "inst")
-    assert main(["gen", "--n", "12", "--r-star", "2", "--kappa", "3",
-                 "--seed", "5", "--out", out]) == 0
-    m = np.load(out + ".npy")
-    assert m.shape == (12, 12)
-    vals = np.sort(np.linalg.eigvalsh(m))[::-1]
-    assert vals[0] == pytest.approx(1.0, abs=1e-10)
-    assert vals[1] == pytest.approx((1 / 3) ** 2, abs=1e-10)
-    meta = _read_meta(out + ".meta")
-    assert meta["n"] == "12" and meta["r_star"] == "2" and meta["seed"] == "5"
-
-
-def test_gen_txt_format(tmp_path):
-    out = str(tmp_path / "inst")
-    assert main(["gen", "--n", "6", "--r-star", "1", "--format", "txt",
-                 "--out", out]) == 0
-    m = np.loadtxt(out + ".txt")
-    assert m.shape == (6, 6)
 
 
 def test_run_end_to_end(tmp_path, capsys):
@@ -102,36 +83,6 @@ def test_run_estimates_lambda_with_sweep_fraction(tmp_path, extra):
     y = measure(op, gt, NoiseModel(seed=derive_seed(4, 4))).y
     assert float(meta["damping_frac"]) == 0.05
     assert float(meta["lambda"]) == estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
-
-
-def test_run_with_instance_and_checkpoints_then_diag(tmp_path):
-    inst = str(tmp_path / "inst")
-    assert main(["gen", "--n", "15", "--r-star", "2", "--kappa", "2",
-                 "--seed", "3", "--out", inst]) == 0
-    traj_csv = str(tmp_path / "traj.csv")
-    ckpt = str(tmp_path / "ckpt.npz")
-    assert main(["run", "--instance", inst + ".meta", "--r", "3",
-                 "--alpha", "1e-9", "--target", "1e-6", "--max-iters", "400",
-                 "--record-every", "20", "--checkpoints", ckpt,
-                 "--seed", "2", "--out", traj_csv]) == 0
-    data = np.load(ckpt)
-    assert "iters" in data and len(data["iters"]) >= 2
-
-    diag_csv = str(tmp_path / "diag.csv")
-    assert main(["diag", "--checkpoints", ckpt, "--instance", inst + ".meta",
-                 "--lambda", "0.01", "--out", diag_csv]) == 0
-    rows = _read_csv(diag_csv)
-    assert rows[0] == list(TRAJECTORY_COLUMNS)
-    assert len(rows) == 1 + len(data["iters"])
-    # loss and elapsed columns are not reconstructible from checkpoints
-    assert rows[1][1] == "" and rows[1][8] == ""
-    # replayed relative error matches the run's recorded trajectory
-    traj_rows = _read_csv(traj_csv)
-    recorded = {int(r[0]): float(r[2]) for r in traj_rows[1:]}
-    for row in rows[1:]:
-        t, rel = int(row[0]), float(row[2])
-        if t in recorded:
-            assert rel == pytest.approx(recorded[t], rel=1e-6, abs=1e-12)
 
 
 def test_run_preset_overridable(tmp_path, capsys):
@@ -385,5 +336,102 @@ def test_help_mentions_subcommands(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in ("gen", "run", "sweep", "diag", "rip"):
+    for name in ("run", "sweep", "rip"):
         assert name in out
+
+
+def test_run_diagnostics_records_phase_metrics(tmp_path, capsys):
+    # `run --diagnostics` records the four phase metrics at every record
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--preset", "ci-small", "--kappa", "3", "--operator",
+                 "identity", "--record-every", "10", "--diagnostics",
+                 "--out", out]) == 0
+    printed = capsys.readouterr().out
+    rows = _read_csv(out)
+    col = {name: rows[0].index(name) for name in TRAJECTORY_COLUMNS}
+    assert len(rows) > 3
+    for row in rows[1:]:
+        for name in ("sigma_min_scaled", "misalign", "gamma_norm", "overparam_norm"):
+            assert row[col[name]] != "", (row[0], name)
+        # spectral <= Frobenius, up to the rounding of X X^T - M* (~eps ||M*||):
+        # near the stop the error is close to rank one and the two agree
+        assert float(row[col["rel_err_op"]]) <= float(row[col["rel_err_fro"]]) + 1e-14
+    assert f"rel_err_fro={float(rows[-1][col['rel_err_fro']]):.3e}" in printed.split()
+
+
+def _setting_flags():
+    """(subcommand, flag, field) for each flag of `run` and `sweep` that sets
+    a SweepSpec field."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command in ("run", "sweep")
+            for action in sub.choices[command]._actions
+            if action.dest in SweepSpec.__dataclass_fields__]
+
+
+# per field: values a flag and a config line must read alike, then one that
+# both must reject
+_SETTING_TEXTS = {
+    "n": (["20"], "x"), "r_star": (["2"], "2.5"), "kappa": (["3"], "3x"),
+    "r": (["4"], "none"), "m": (["400", "auto", "none"], "1.5"),
+    "backend": (["streamed"], "bogus"), "eta": (["0.2"], "fast"),
+    "lam": (["0.01", "auto"], "none"), "alpha": (["1e-9"], "tiny"),
+    "sigma": (["0.01"], "auto"), "max_iters": (["3"], "1e3"),
+    "target_rel_err": (["1e-3", "none"], "low"), "patience": (["7", "none"], "7.5"),
+    "improve_tol": (["1e-2"], "none"), "master_seed": (["9"], "-"),
+    "record_every": (["2"], "every"), "trials": (["2"], "two"),
+}
+_BASE_CONFIG = {"preset": "ci-small", "patience": "100"}
+
+
+def test_setting_flags_all_covered():
+    flags = _setting_flags()
+    assert len(flags) == 18
+    assert {field for _, _, field in flags} == set(_SETTING_TEXTS)
+
+
+@pytest.mark.parametrize("command, flag, field", _setting_flags())
+def test_setting_flag_reads_as_config_line(command, flag, field):
+    for text in _SETTING_TEXTS[field][0]:
+        args = build_parser().parse_args([command, flag, text, "--out", "x.csv"])
+        assert list(_spec_fields(args)) == [field]
+        assert (_sweep_spec_from_config(_BASE_CONFIG, **_spec_fields(args))
+                == _sweep_spec_from_config({**_BASE_CONFIG, field: text})), text
+
+
+@pytest.mark.parametrize("command, flag, field", _setting_flags())
+def test_bad_setting_exits_2_as_flag_and_config_line(tmp_path, command, flag, field):
+    bad = _SETTING_TEXTS[field][1]
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n"
+                           for key, text in {**_BASE_CONFIG, field: bad}.items()))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([command, "--preset", "ci-small", flag, bad, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("scaledgd ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_parse(argv):
+    # the README's CLI block stays in step with the parser (nothing is run)
+    _spec_fields(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "10", "--r-star", "2", "--out", "x"],
+    ["diag", "--checkpoints", "c.npz", "--instance", "i.meta", "--out", "x"],
+    ["run", "--instance", "i.meta", "--out", "x"],
+    ["run", "--checkpoints", "c.npz", "--out", "x"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_removed_commands_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from scaledgd.diagnostics import (decompose_iterate, delta_norm, phase_metrics,
-                                  reconstruction_error, rel_err_op)
+from scaledgd.diagnostics import decompose_iterate, phase_metrics, rel_err_op
 from scaledgd.linalg import (fix_sv_signs, orthonormal_complement,
                              spectral_norm)
 from scaledgd.problem import dense_m_star, make_approx_truth, make_ground_truth
@@ -196,38 +195,18 @@ def test_misalign_infinite_when_signal_singular():
 
 
 def test_reconstruction_error_at_zero_and_truth():
+    # the errors a run records at X = 0 and at X = X*
     gt = make_ground_truth(10, 3, 2, seed=14)
-    fro, op_err = reconstruction_error(np.zeros((10, 3)), gt)
+    op = identity_operator(10)
+    y = measure(op, gt).y
     expect_fro = np.linalg.norm(gt.sigma_star**2) / gt.sigma_star[0] ** 2
-    assert fro == pytest.approx(expect_fro, rel=1e-10)
-    assert op_err == pytest.approx(1.0, abs=1e-10)
-    fro, op_err = reconstruction_error(gt.x_star, gt)
-    assert fro <= 1e-12 and op_err <= 1e-12
-
-
-def test_delta_norm_identity_is_zero():
-    gt = make_ground_truth(8, 2, 2, seed=15)
-    op = identity_operator(8)
-    x = np.random.default_rng(16).normal(size=(8, 3))
-    assert delta_norm(op, x, gt).value <= 1e-12
-
-
-def test_delta_norm_zero_at_truth():
-    gt = make_ground_truth(8, 2, 2, seed=17)
-    op = gaussian_operator(8, 100, seed=18)
-    assert delta_norm(op, gt.x_star, gt).value <= 1e-12
-
-
-def test_delta_norm_gaussian_bounded():
-    # ||(I - A*A) R|| <= 2 delta ||R||_F for rank-2r residuals; use a very
-    # loose factor since delta_hat is only a sampled lower bound
-    gt = make_ground_truth(12, 2, 2, seed=19)
-    op = gaussian_operator(12, 12 * 2 * 40, seed=20)
-    x = gt.x_star + 0.1 * np.random.default_rng(21).normal(size=(12, 2))
-    resid = x @ x.T - dense_m_star(gt)
-    dn = delta_norm(op, x, gt)
-    assert dn.value <= 10 * np.linalg.norm(resid)
-    assert dn.value > 0.0
+    for x, fro, op_err in ((np.zeros((10, 3)), expect_fro, 1.0), (gt.x_star, 0.0, 0.0)):
+        cfg = SolverConfig(algorithm="gd", r=3, eta=0.1, init="explicit", x0=x,
+                           max_iters=0, stop=StoppingRule(patience=1))
+        rec, = run(op, y, cfg, oracle=gt).records
+        assert rec.rel_err_fro == pytest.approx(fro, rel=1e-10, abs=1e-12)
+        assert rec.rel_err_op == pytest.approx(op_err, abs=1e-12)
+        assert rec.rel_err_op == rel_err_op(x, gt)
 
 
 def test_phase_metrics_along_trajectory():

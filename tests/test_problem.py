@@ -45,14 +45,6 @@ def test_validation():
         make_ground_truth(0, 1, 2, seed=0)
 
 
-def test_geometric_spacing():
-    gt = make_ground_truth(10, 3, 4, seed=0, spacing="geometric")
-    assert gt.sigma_star[0] == pytest.approx(1.0)
-    assert gt.condition_number() == pytest.approx(4.0, abs=1e-12)
-    ratios = gt.sigma_star[:-1] / gt.sigma_star[1:]
-    assert np.allclose(ratios, ratios[0])
-
-
 def test_dense_m_star_axis_aligned():
     gt = GroundTruth(n=2, r_star=1, u_star=np.array([[1.0], [0.0]]),
                      sigma_star=np.array([2.0]), seed=0)

@@ -132,16 +132,8 @@ def test_adjoint_output_exactly_symmetric():
         op = gaussian_operator(9, 20, seed=8, backend=backend)
         out = op.apply_adjoint(np.random.default_rng(3).normal(size=20))
         assert np.abs(out - out.T).max() == 0.0
-        nrm = op.apply_normal(_rand_sym(np.random.default_rng(4), 9))
+        nrm = op.apply_adjoint(op.apply_forward(_rand_sym(np.random.default_rng(4), 9)))
         assert np.abs(nrm - nrm.T).max() == 0.0
-
-
-def test_normal_is_adjoint_of_forward():
-    for backend in ("dense", "streamed"):
-        op = gaussian_operator(6, 18, seed=6, backend=backend)
-        m = _rand_sym(np.random.default_rng(5), 6)
-        expect = op.apply_adjoint(op.apply_forward(m))
-        assert np.abs(op.apply_normal(m) - expect).max() <= 1e-12
 
 
 def test_residual_grad_matches_normal_form():
@@ -153,7 +145,7 @@ def test_residual_grad_matches_normal_form():
         f, w = op.residual_grad(x, y)
         resid = op.apply_forward(x @ x.T) - y
         assert f == 0.25 * float(resid @ resid)
-        expect = op.apply_normal(x @ x.T) - op.apply_adjoint(y)
+        expect = op.apply_adjoint(op.apply_forward(x @ x.T)) - op.apply_adjoint(y)
         assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
         assert np.abs(w - w.T).max() == 0.0
 
@@ -161,7 +153,7 @@ def test_residual_grad_matches_normal_form():
 def test_identity_operator():
     op = identity_operator(2)
     m = np.array([[1.0, 2.0], [2.0, 3.0]])
-    assert np.array_equal(op.apply_normal(m), m)
+    assert np.array_equal(op.apply_adjoint(op.apply_forward(m)), m)
     v = op.apply_forward(m)
     assert float(v @ v) == pytest.approx(np.sum(m * m), abs=1e-14)
     assert np.allclose(op.apply_adjoint(v), m, atol=1e-15)
@@ -176,7 +168,7 @@ def test_normal_unbiased():
     ops = 10_000
     for k in range(ops):
         op = gaussian_operator(n, 8, seed=k, backend="dense")
-        acc += op.apply_normal(m_mat)
+        acc += op.apply_adjoint(op.apply_forward(m_mat))
     acc /= ops
     assert np.linalg.norm(acc - m_mat) <= 0.05 * np.linalg.norm(m_mat)
 

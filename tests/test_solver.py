@@ -11,7 +11,7 @@ from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import (DivergenceError, PreconditionerError, SolverConfig,
                              StoppingRule, _solve_preconditioner,
-                             estimate_damping, gradient, loss, random_init, run,
+                             estimate_damping, random_init, run,
                              run_batch, spectral_init, step_gd, step_prec_gd,
                              step_scaled_gd, step_scaled_gd_lambda)
 
@@ -28,14 +28,14 @@ def _scalar_setup():
 
 def test_scalar_closed_forms():
     op, y, x = _scalar_setup()
-    assert loss(op, y, x) == pytest.approx(0.140625, abs=1e-15)
-    g = gradient(op, y, x)
+    f, w = op.residual_grad(x, y)
+    assert f == pytest.approx(0.140625, abs=1e-15)
+    g = w @ x
     assert g[0, 0] == pytest.approx(-0.375, abs=1e-15)
     eta, lam = 0.1, 0.25
     assert step_scaled_gd_lambda(x, g, eta, lam)[0, 0] == pytest.approx(0.575, abs=1e-14)
     assert step_gd(x, g, eta)[0, 0] == pytest.approx(0.5375, abs=1e-14)
     assert step_scaled_gd(x, g, eta)[0, 0] == pytest.approx(0.65, abs=1e-14)
-    f = loss(op, y, x)
     assert step_prec_gd(x, g, eta, f)[0, 0] == pytest.approx(0.56, abs=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_scalar_recurrence_oracle():
     eta, lam = 0.2, 0.1
     s = 0.5
     for _ in range(30):
-        x = step_scaled_gd_lambda(x, gradient(op, y, x), eta, lam)
+        x = step_scaled_gd_lambda(x, op.residual_grad(x, y)[1] @ x, eta, lam)
         s = s - eta * (s * s - 1.0) * s / (s * s + lam)
         assert abs(x[0, 0] - s) <= 1e-14
 
@@ -57,13 +57,13 @@ def test_gradient_matches_finite_differences():
         op = gaussian_operator(6, 40, seed=inst)
         y = gen.normal(size=40)
         x = gen.normal(size=(6, 2))
-        g = gradient(op, y, x)
+        g = op.residual_grad(x, y)[1] @ x
         scale = max(np.abs(g).max(), 1.0)
         for _ in range(5):
             i, j = gen.integers(6), gen.integers(2)
             xp = x.copy(); xp[i, j] += h
             xm = x.copy(); xm[i, j] -= h
-            fd = (loss(op, y, xp) - loss(op, y, xm)) / (2 * h)
+            fd = (op.residual_grad(xp, y)[0] - op.residual_grad(xm, y)[0]) / (2 * h)
             assert abs(g[i, j] - fd) <= 1e-6 * scale
 
 
@@ -72,11 +72,12 @@ def test_ground_truth_is_fixed_point():
     op = gaussian_operator(12, 240, seed=6)
     y = measure(op, gt).y
     x_star = gt.x_star
-    g = gradient(op, y, x_star)
+    f, w = op.residual_grad(x_star, y)
+    g = w @ x_star
     assert np.abs(g).max() <= 1e-10
     for stepped in (step_gd(x_star, g, 0.3),
                     step_scaled_gd_lambda(x_star, g, 0.3, 0.05),
-                    step_prec_gd(x_star, g, 0.3, loss(op, y, x_star))):
+                    step_prec_gd(x_star, g, 0.3, f)):
         assert np.abs(stepped - x_star).max() <= 1e-9
 
 
@@ -181,15 +182,13 @@ def test_records_at_multiples_and_target_stop_once():
     # a target first met at an iteration t_stop that is not a multiple of 7
     t_stop = next(t for t in sorted(errs) if t > 14 and t % 7
                   and errs[t] < min(errs[s] for s in errs if s < t))
-    hooked = []
     traj = run(op, y, SolverConfig(stop=StoppingRule(target_rel_err=errs[t_stop]),
                                    record_every=7, **base),
-               oracle=gt, checkpoint_hook=lambda t, x: hooked.append(t))
+               oracle=gt)
     assert traj.stop_reason == "target_reached"
     assert traj.final_state.t == t_stop
     ts = [rec.t for rec in traj.records]
     assert ts == list(range(0, t_stop, 7)) + [t_stop]
-    assert hooked == ts
     assert traj.records[-1].rel_err_op is not None
 
 
@@ -283,9 +282,9 @@ def test_estimate_damping_identity():
     y = measure(op, gt).y
     est = estimate_damping(op, y, rank_guess=3)
     # A*(y) = M*, so the surrogate is c_frac times sigma_min(X*)^2
-    assert est.lambda_hat == pytest.approx(0.25 * gt.sigma_star[-1] ** 2, rel=1e-10)
-    est2 = estimate_damping(op, y, rank_guess=3, c_frac=0.05)
-    assert est2.lambda_hat == pytest.approx(0.05 * gt.sigma_star[-1] ** 2, rel=1e-10)
+    assert est.lambda_hat == pytest.approx(0.05 * gt.sigma_star[-1] ** 2, rel=1e-10)
+    est2 = estimate_damping(op, y, rank_guess=3, c_frac=0.25)
+    assert est2.lambda_hat == pytest.approx(0.25 * gt.sigma_star[-1] ** 2, rel=1e-10)
     with pytest.raises(ValueError):
         estimate_damping(op, y, rank_guess=0)
 
