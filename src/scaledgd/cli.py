@@ -58,11 +58,11 @@ def _config_value(key: str, text: str):
     kinds = typing.get_args(hint) or (hint,)
     if type(None) in kinds and text in ("none", "auto"):
         return None
-    if hint is tuple:
-        return tuple(float(v) for v in text.split(",")) if text else ()
     for kind in kinds:  # float before str, so `lam = auto` stays a string
         if kind is not type(None):
             try:
+                if kind is tuple:
+                    return tuple(float(v) for v in text.split(",")) if text else ()
                 return kind(text)
             except ValueError:
                 pass
@@ -107,14 +107,15 @@ def _run_spec(args) -> SweepSpec:
 def cmd_run(args) -> int:
     if args.lam is not None and args.lambda_auto is not None:
         raise CliError("pass either --lambda or --lambda-auto, not both")
+    if args.operator == "identity" and args.m is not None:
+        raise CliError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
     gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
     if args.operator == "identity":
         op = identity_operator(spec.n)
     else:
-        op = gaussian_operator(spec.n, spec.measurements,
-                               derive_seed(seed, TAG_OPERATOR), backend=spec.backend)
+        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
     y = measure(op, gt, NoiseModel(sigma=spec.sigma,
                                    seed=derive_seed(seed, TAG_NOISE))).y
 
@@ -140,8 +141,7 @@ def cmd_run(args) -> int:
     _write_sidecar(args.out, {
         "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
         "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa, "m": op.m,
-        "operator": args.operator, "backend": spec.backend,
-        "eta": spec.eta, "lambda": config.lam,
+        "operator": args.operator, "eta": spec.eta, "lambda": config.lam,
         "damping_frac": spec.damping_frac if estimated else None,
         "alpha": spec.alpha, "init": args.init, "sigma": spec.sigma, "seed": seed,
         "target": spec.target_rel_err, "patience": spec.patience,
@@ -199,10 +199,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rip(args) -> int:
-    if args.operator == "identity":
-        op = identity_operator(args.n)
-    else:
-        op = gaussian_operator(args.n, args.m, args.seed, backend=args.backend)
+    op = gaussian_operator(args.n, args.m, args.seed)
     est = estimate_rip_constant(op, args.rank, args.trials, derive_seed(args.seed, 99))
     print(f"rank={est.rank} trials={est.trials} delta_hat={est.delta_hat:.6f} "
           f"min_ratio={est.min_ratio:.6f} max_ratio={est.max_ratio:.6f}")
@@ -222,7 +219,6 @@ _RUN_SETTINGS = (
     ("--kappa", "kappa", "condition number"),
     ("--r", "r", "factor rank"),
     ("--m", "m", "measurements, or auto for 10 n r_star"),
-    ("--backend", "backend", "gaussian operator backend: dense or streamed"),
     ("--eta", "eta", "learning rate"),
     ("--lambda", "lam", "fixed damping parameter, or auto to estimate it"),
     ("--alpha", "alpha", "initialization scale"),
@@ -278,24 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rip", help="estimate a restricted isometry constant")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--m", type=int, help="measurements (gaussian operator)")
+    p.add_argument("--m", type=int, required=True, help="measurements")
     p.add_argument("--rank", type=int, required=True, help="rank of test matrices")
     p.add_argument("--trials", type=int, default=200, help="sampled matrices (default 200)")
-    p.add_argument("--operator", choices=("gaussian", "identity"),
-                   default="gaussian", help="operator kind (default gaussian)")
-    p.add_argument("--backend", choices=("dense", "streamed"), default="dense",
-                   help="gaussian backend (default dense)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.set_defaults(func=cmd_rip)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "rip" \
-            and args.operator == "gaussian" and args.m is None:
-        parser.error("rip with a gaussian operator requires --m")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -56,7 +56,6 @@ class SweepSpec:
     gd_tuning: tuple = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8)
     trials: int = 3
     master_seed: int = 0
-    backend: str = "dense"
     record_every: int = 1
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise ValueError(f"lam must be a number or 'auto', got {self.lam!r}")
-        if self.backend not in ("dense", "streamed"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
     @property
     def measurements(self) -> int:
@@ -212,8 +209,7 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
     gt = make_ground_truth(spec.n, spec.r_star,
                            value if spec.axis == "kappa" else spec.kappa,
                            derive_seed(seed, TAG_TRUTH))
-    op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR),
-                           backend=spec.backend)
+    op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
     sigma = value if spec.axis == "noise_sigma" else spec.sigma
     y = measure(op, gt, NoiseModel(sigma=sigma, seed=derive_seed(seed, TAG_NOISE))).y
     cfg = point_config(spec, seed, value, op, y)

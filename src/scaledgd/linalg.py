@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DENSE_EIG_CUTOFF = 64
-
 
 def orthonormal_complement(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of the column span of `u`.
@@ -28,31 +26,12 @@ def orthonormal_complement(u: np.ndarray) -> np.ndarray:
     return comp
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iters: int = 1000):
-    """Spectral norm of a symmetric matrix.
-
-    Dense eigensolve for n <= DENSE_EIG_CUTOFF, otherwise power iteration
-    with a deterministic start (normalized all-ones), stopped once the
-    estimate changes by at most tol relative to itself.  Returns (value, iterations).
-    """
-    n = a.shape[0]
-    if n == 0:
+def spectral_norm(a: np.ndarray):
+    """Spectral norm of a symmetric matrix, from a dense eigensolve.
+    Returns (value, iterations); iterations is always 0."""
+    if a.shape[0] == 0:
         return 0.0, 0
-    if n <= DENSE_EIG_CUTOFF:
-        return float(np.abs(np.linalg.eigvalsh(a)).max()), 0
-    v = np.full(n, 1.0 / np.sqrt(n))
-    est = 0.0
-    for it in range(1, max_iters + 1):
-        w = a @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, it
-        new_est = norm_w
-        v = w / norm_w
-        if abs(new_est - est) <= tol * new_est:
-            return new_est, it
-        est = new_est
-    return est, max_iters
+    return float(np.abs(np.linalg.eigvalsh(a)).max()), 0
 
 
 def fix_sv_signs(u: np.ndarray, vt: np.ndarray):

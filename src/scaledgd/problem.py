@@ -33,9 +33,6 @@ class GroundTruth:
     def x_star(self) -> np.ndarray:
         return self.u_star * self.sigma_star
 
-    def condition_number(self) -> float:
-        return float(self.sigma_star[0] / self.sigma_star[-1])
-
     def spectral_norm_m(self) -> float:
         """||M*|| = sigma_star[0]^2."""
         return float(self.sigma_star[0] ** 2)
@@ -60,9 +57,6 @@ class ApproxTruth:
     def spectral_norm_m(self) -> float:
         """||M*||: base and tail live on orthogonal subspaces, so the max."""
         return max(self.base.spectral_norm_m(), self.tail_spectral_norm())
-
-    def tail_frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.tail_spectrum))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ i.i.d. N(0, 1/m), so row i of the operator is exactly
 
     normals(seed, stream=i, count=n(n+1)/2) * (1.0 / sqrt(m))
 
-from the package's documented Philox/Box-Muller stream (see rng.py).  Both
-backends take their rows from `SensingOperator.row_svec`, so they are
-bit-identical: the dense backend materializes the m x n(n+1)/2 array; the
-streamed backend regenerates rows on demand in fixed-size chunks, which
-keeps the accumulation order independent of how the work is scheduled.
+from the package's documented Philox/Box-Muller stream (see rng.py).  The
+dense operator materializes these rows, taken from
+`SensingOperator.row_svec`, as an m x n(n+1)/2 array S; a forward pass is
+svec(M) S^T and an adjoint pass unsvec(y S).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from . import rng
 from .problem import NoiseModel, dense_m_star
 
 DEFAULT_MEMORY_CAP_BYTES = 2 << 30  # 2 GiB
-_STREAM_CHUNK = 256
 _RIP_EIGS_PAD = 1e-300  # keep trial eigenvalues away from exact zero
 
 
@@ -46,7 +44,7 @@ def _svec_scale(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 class SensingOperator:
     """Linear map from symmetric n x n matrices to R^m.
 
-    kind is one of 'gaussian_dense', 'gaussian_streamed', 'identity'.
+    kind is one of 'gaussian_dense', 'identity'.
     Instances are immutable after construction and safe for concurrent use.
     """
 
@@ -81,42 +79,26 @@ class SensingOperator:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""
         return rng.normals(self.seed, i, self.dim) * (1.0 / np.sqrt(self.m))
 
-    def _chunks(self):
-        """(first row index, rows) over the operator's rows in index order: the
-        dense array is one chunk; the streamed backend regenerates
-        _STREAM_CHUNK rows at a time."""
-        if self.kind == "gaussian_dense":
-            yield 0, self._storage
-            return
-        for lo in range(0, self.m, _STREAM_CHUNK):
-            yield lo, np.stack([self.row_svec(i)
-                                for i in range(lo, min(lo + _STREAM_CHUNK, self.m))])
-
     def sensing_matrix(self, i: int) -> np.ndarray:
         """A_i as a dense symmetric matrix."""
         if self.kind == "identity":
             e = np.zeros(self.m)
             e[i] = 1.0
             return self.unsvec(e)
-        if self.kind == "gaussian_dense":
-            return self.unsvec(self._storage[i])
-        return self.unsvec(self.row_svec(i))
+        return self.unsvec(self._storage[i])
 
     # -- forward / adjoint -------------------------------------------------
 
     # Each pass also takes a stack: k matrices (k x n x n) go forward as the
     # rows of V = [svec(M_j)] to V S^T (k x m), and k residuals R (k x m) come
-    # back as R S, one small gemm per row chunk, so the k share one pass over
-    # the rows.  A single matrix or vector takes the gemv path.
+    # back as R S, so the k share one pass over the rows.  The same expression
+    # serves a single matrix or vector; numpy sends it to gemv.
 
     def apply_forward(self, mat: np.ndarray) -> np.ndarray:
         v = self.svec(mat)
         if self.kind == "identity":
             return v
-        y = np.empty(v.shape[:-1] + (self.m,))
-        for lo, rows in self._chunks():
-            y[..., lo:lo + len(rows)] = rows @ v if v.ndim == 1 else v @ rows.T
-        return y
+        return v @ self._storage.T
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -124,11 +106,7 @@ class SensingOperator:
             raise ValueError(f"expected length-{self.m} vector, got {y.shape}")
         if self.kind == "identity":
             return self.unsvec(y)
-        acc = np.zeros(y.shape[:-1] + (self.dim,))
-        for lo, rows in self._chunks():
-            part = y[..., lo:lo + len(rows)]
-            acc += rows.T @ part if y.ndim == 1 else part @ rows
-        return self.unsvec(acc)
+        return self.unsvec(y @ self._storage)
 
     def residual_grad(self, x: np.ndarray, y: np.ndarray):
         """(f, A*(A(X X^T) - y)) for f = 1/4 ||A(X X^T) - y||^2 at the n x r
@@ -143,24 +121,20 @@ class SensingOperator:
         return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
 
 
-def gaussian_operator(n: int, m: int, seed: int, backend: str = "dense",
+def gaussian_operator(n: int, m: int, seed: int,
                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> SensingOperator:
     if m < 1:
         raise ValueError("m must be >= 1")
     dim = n * (n + 1) // 2
-    if backend == "dense":
-        nbytes = 8 * m * dim
-        if nbytes > memory_cap_bytes:
-            raise MemoryCapError(
-                f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
-                f"(cap {memory_cap_bytes / 2**30:.2f} GiB); use backend='streamed'")
-        op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
-        for i in range(m):  # row by row: a stack of rows would double peak memory
-            op._storage[i] = op.row_svec(i)
-        return op
-    if backend == "streamed":
-        return SensingOperator("gaussian_streamed", n, m, seed)
-    raise ValueError(f"unknown backend {backend!r}")
+    nbytes = 8 * m * dim
+    if nbytes > memory_cap_bytes:
+        raise MemoryCapError(
+            f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
+            f"(cap {memory_cap_bytes / 2**30:.2f} GiB)")
+    op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
+    for i in range(m):  # row by row: a stack of rows would double peak memory
+        op._storage[i] = op.row_svec(i)
+    return op
 
 
 def identity_operator(n: int) -> SensingOperator:

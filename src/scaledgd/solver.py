@@ -318,10 +318,11 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     """Run k configurations on one operator in lockstep and return their
     trajectories, in order.
 
-    Each iteration makes one forward and one adjoint pass for all the runs
-    still going (a stacked pass for two or more, the single-run pass for
-    one).  Every run keeps its own stopping rules, record cadence and steps,
-    as run() describes; a run leaves the batch when it stops.  A run whose
+    Each iteration makes one stacked forward and one stacked adjoint pass
+    for all the runs still going; numpy sends a stack of one to the same gemv
+    as a single matrix, so a run alone is the single-run path.  Every run
+    keeps its own stopping rules, record cadence and steps, as run()
+    describes; a run leaves the batch when it stops.  A run whose
     loss blows up leaves with stop reason "diverged", its records made before
     the blow-up and, as final state, the iterate that blew up.  elapsed_ms
     and elapsed_ns count from the batch's start.
@@ -334,11 +335,7 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     active = list(runs)
     t = 0
     while active:
-        if len(active) == 1:
-            losses, ws = op.residual_grad(active[0].x, y)
-            losses, ws = [losses], [ws]
-        else:
-            losses, ws = op.residual_grad(np.stack([r.x for r in active]), y)
+        losses, ws = op.residual_grad(np.stack([r.x for r in active]), y)
         for state, cur_loss, w in zip(active, losses, ws):
             state.advance(t, float(cur_loss), w, start)
         active = [state for state in active if state.trajectory is None]

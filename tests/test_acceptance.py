@@ -181,18 +181,17 @@ def test_criterion_5_property_suites(capsys):
     failures = []
 
     # adjoint identity <= 1e-12 relative
-    for backend in ("dense", "streamed"):
-        op = gaussian_operator(30, 600, seed=1, backend=backend)
-        gen = np.random.default_rng(2)
-        for _ in range(20):
-            m = gen.normal(size=(30, 30))
-            m = m + m.T
-            y = gen.normal(size=600)
-            lhs = float(op.apply_forward(m) @ y)
-            rhs = float(np.sum(m * op.apply_adjoint(y)))
-            if abs(lhs - rhs) > 1e-12 * np.linalg.norm(m) * np.linalg.norm(y):
-                failures.append(f"adjoint identity ({backend})")
-                break
+    op = gaussian_operator(30, 600, seed=1)
+    gen = np.random.default_rng(2)
+    for _ in range(20):
+        m = gen.normal(size=(30, 30))
+        m = m + m.T
+        y = gen.normal(size=600)
+        lhs = float(op.apply_forward(m) @ y)
+        rhs = float(np.sum(m * op.apply_adjoint(y)))
+        if abs(lhs - rhs) > 1e-12 * np.linalg.norm(m) * np.linalg.norm(y):
+            failures.append("adjoint identity (dense)")
+            break
 
     # decomposition reassembly <= 1e-10 relative on 100 random iterates
     gt = make_ground_truth(25, 3, 3, seed=3)

@@ -145,8 +145,7 @@ def test_run_default_settings_pinned(tmp_path):
     meta = _read_meta(out + ".meta")
     want = dict(n="60", r_star="3", r="5", eta="0.3", alpha="1e-27",
                 target="None", patience="100", max_iters="1500", sigma="0.0",
-                improve_tol="0.001", record_every="1", backend="dense",
-                damping_frac="0.05")
+                improve_tol="0.001", record_every="1", damping_frac="0.05")
     for key, value in want.items():
         assert meta[key] == value, key
 
@@ -154,7 +153,7 @@ def test_run_default_settings_pinned(tmp_path):
 @pytest.mark.parametrize("flag, value, key, want", [
     ("--n", "20", "n", "20"), ("--r-star", "2", "r_star", "2"),
     ("--r", "4", "r", "4"), ("--kappa", "3", "kappa", "3.0"),
-    ("--m", "400", "m", "400"), ("--backend", "streamed", "backend", "streamed"),
+    ("--m", "400", "m", "400"),
     ("--eta", "0.2", "eta", "0.2"), ("--lambda", "0.01", "lambda", "0.01"),
     ("--alpha", "1e-9", "alpha", "1e-09"), ("--sigma", "0.01", "sigma", "0.01"),
     ("--max-iters", "3", "max_iters", "3"), ("--target", "1e-3", "target", "0.001"),
@@ -164,7 +163,7 @@ def test_run_default_settings_pinned(tmp_path):
 ])
 def test_run_flag_overrides_preset(tmp_path, flag, value, key, want):
     # fig-alpha sets none of these to the flag's value; a small m and two
-    # iterations keep even the streamed backend cheap (a later flag wins)
+    # iterations keep the run cheap (a later flag wins)
     out = str(tmp_path / "t.csv")
     args = ["run", "--preset", "fig-alpha", "--m", "300", "--max-iters", "2",
             flag, value, "--out", out]
@@ -184,6 +183,15 @@ def test_run_identity_operator(tmp_path, capsys):
                "--target", "1e-8", "--max-iters", "400", "--out", out])
     assert rc == 0
     assert "stop=target_reached" in capsys.readouterr().out
+
+
+def test_run_identity_rejects_m(tmp_path, capsys):
+    # the identity operator's m is n(n+1)/2, so an explicit --m is an error
+    out = tmp_path / "t.csv"
+    assert main(["run", "--operator", "identity", "--n", "10", "--r-star", "2",
+                 "--m", "400", "--out", str(out)]) == 2
+    assert "--m does not apply to --operator identity" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "t.csv.meta").exists()
 
 
 def test_sweep_preset_and_config(tmp_path):
@@ -260,11 +268,14 @@ def test_sweep_flag_conflicts(tmp_path, capsys):
 
 
 def test_sweep_bad_config_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("axis = kappa\nvalues = 1,2\nwhatever = 3\n")
-    assert main(["sweep", "--config", str(cfg),
-                 "--out", str(tmp_path / "s.csv")]) == 2
-    assert "unknown sweep config key" in capsys.readouterr().err
+    # the second is a line of a sweep sidecar written before the operator lost
+    # its backend setting
+    for line, key in (("whatever = 3", "whatever"), ("spec.backend = dense", "backend")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"axis = kappa\nvalues = 1,2\n{line}\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"unknown sweep config key {key!r}" in capsys.readouterr().err
 
 
 def test_sweep_config_accepts_every_spec_field():
@@ -274,7 +285,7 @@ def test_sweep_config_accepts_every_spec_field():
                      lam=0.01, damping_frac=0.25, target_rel_err=1e-6,
                      patience=50, improve_tol=1e-2, max_iters=300,
                      gd_max_iters=200, gd_tuning=(0.1, 0.2), trials=2,
-                     master_seed=7, backend="streamed", record_every=3)
+                     master_seed=7, record_every=3)
     raw = {}
     for key in SweepSpec.__dataclass_fields__:
         value = getattr(want, key)
@@ -297,6 +308,16 @@ def test_sweep_rejects_zero_trials(tmp_path, capsys):
     assert "trials must be >= 1" in capsys.readouterr().err
 
 
+def test_bad_tuple_value_names_its_key(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for key, text in (("values", "1,x"), ("gd_tuning", "0.2,x")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = ci-small\n{key} = {text}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"bad value {text!r} for setting {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_parse_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("axis kappa\n")
@@ -305,16 +326,8 @@ def test_config_parse_errors(tmp_path, capsys):
     assert "expected 'key = value'" in capsys.readouterr().err
 
 
-def test_rip_identity(capsys):
-    assert main(["rip", "--n", "10", "--rank", "3", "--operator", "identity",
-                 "--trials", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "delta_hat=0.000000" in out
-    assert "lower bound" in out
-
-
 def test_rip_rank_zero(capsys):
-    assert main(["rip", "--n", "5", "--rank", "0", "--operator", "identity"]) == 2
+    assert main(["rip", "--n", "5", "--m", "50", "--rank", "0"]) == 2
     assert "rank must be between 1 and n" in capsys.readouterr().err
 
 
@@ -329,6 +342,7 @@ def test_rip_gaussian(capsys):
                  "--trials", "50", "--seed", "4"]) == 0
     out = capsys.readouterr().out
     assert "delta_hat=" in out
+    assert "lower bound" in out
 
 
 def test_help_mentions_subcommands(capsys):
@@ -375,7 +389,7 @@ def _setting_flags():
 _SETTING_TEXTS = {
     "n": (["20"], "x"), "r_star": (["2"], "2.5"), "kappa": (["3"], "3x"),
     "r": (["4"], "none"), "m": (["400", "auto", "none"], "1.5"),
-    "backend": (["streamed"], "bogus"), "eta": (["0.2"], "fast"),
+    "eta": (["0.2"], "fast"),
     "lam": (["0.01", "auto"], "none"), "alpha": (["1e-9"], "tiny"),
     "sigma": (["0.01"], "auto"), "max_iters": (["3"], "1e3"),
     "target_rel_err": (["1e-3", "none"], "low"), "patience": (["7", "none"], "7.5"),
@@ -387,7 +401,7 @@ _BASE_CONFIG = {"preset": "ci-small", "patience": "100"}
 
 def test_setting_flags_all_covered():
     flags = _setting_flags()
-    assert len(flags) == 18
+    assert len(flags) == 17
     assert {field for _, _, field in flags} == set(_SETTING_TEXTS)
 
 
@@ -430,6 +444,9 @@ def test_readme_cli_lines_parse(argv):
     ["diag", "--checkpoints", "c.npz", "--instance", "i.meta", "--out", "x"],
     ["run", "--instance", "i.meta", "--out", "x"],
     ["run", "--checkpoints", "c.npz", "--out", "x"],
+    ["run", "--backend", "streamed", "--out", "x"],
+    ["rip", "--backend", "streamed", "--n", "10", "--m", "400", "--rank", "2"],
+    ["rip", "--operator", "identity", "--n", "10", "--m", "400", "--rank", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_removed_commands_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

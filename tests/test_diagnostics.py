@@ -34,33 +34,33 @@ def test_complement_gram_properties():
 
 
 def test_spectral_norm_diag_and_power_path():
+    # one dense eigensolve at every size; iterations is always 0
     d = np.diag([3.0, -5.0, 1.0])
     val, iters = spectral_norm(d)
-    assert val == pytest.approx(5.0, abs=1e-9)
-    # force the power-iteration branch with a matrix above the eigh cutoff
+    assert val == pytest.approx(5.0, abs=1e-12)
+    assert iters == 0
     gen = np.random.default_rng(2)
     a = gen.normal(size=(100, 100))
     a = a + a.T
     val, iters = spectral_norm(a)
     expect = np.abs(np.linalg.eigvalsh(a)).max()
-    assert val == pytest.approx(expect, rel=1e-8)
-    assert iters >= 1
+    assert val == pytest.approx(expect, rel=1e-12)
+    assert iters == 0
     assert spectral_norm(np.zeros((80, 80)))[0] == 0.0
 
 
 def test_spectral_norm_power_path_is_relative_for_small_norms():
-    # above the eigh cutoff, a matrix of norm 1e-9 gets a relative stop test,
-    # not one absolute in the estimate
+    # a matrix of norm 1e-9 gets its norm to 1e-12 relative: no absolute
+    # tolerance hides in the solve
     gen = np.random.default_rng(5)
     q, _ = np.linalg.qr(gen.normal(size=(80, 80)))
     spectrum = np.linspace(-0.6, 0.6, 80)
     spectrum[0] = 1.0
     a = 1e-9 * (q * spectrum) @ q.T
     a = 0.5 * (a + a.T)
-    expect = np.abs(np.linalg.eigvalsh(a)).max()
     val, iters = spectral_norm(a)
-    assert abs(val - expect) <= 1e-8 * expect
-    assert iters > 1
+    assert abs(val - 1e-9) <= 1e-12 * 1e-9
+    assert iters == 0
 
 
 def _dense_rel_err_op(x, truth):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scaledgd import rng
 from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
 from scaledgd.sensing import (MemoryCapError, estimate_rip_constant,
                               gaussian_operator, identity_operator, measure)
@@ -13,8 +14,8 @@ def _rand_sym(gen, n):
 
 def test_gaussian_entry_variances():
     # moment oracle over 1e5 independent row streams (n=2, one row each)
-    op = gaussian_operator(2, 100_000, seed=31, backend="streamed")
-    rows = np.vstack([rows for _, rows in op._chunks()])
+    op = gaussian_operator(2, 100_000, seed=31)
+    rows = op._storage
     mats = np.empty((op.m, 2, 2))
     for i in range(op.m):
         mats[i] = op.unsvec(rows[i])
@@ -25,22 +26,9 @@ def test_gaussian_entry_variances():
     assert np.array_equal(mats[:, 0, 1], mats[:, 1, 0])
 
 
-def test_backend_equivalence():
-    dense = gaussian_operator(8, 40, seed=5, backend="dense")
-    streamed = gaussian_operator(8, 40, seed=5, backend="streamed")
-    gen = np.random.default_rng(0)
-    for _ in range(100):
-        m = _rand_sym(gen, 8)
-        yd, ys = dense.apply_forward(m), streamed.apply_forward(m)
-        assert np.abs(yd - ys).max() <= 1e-12 * max(np.abs(yd).max(), 1.0)
-        y = gen.normal(size=40)
-        ad, as_ = dense.apply_adjoint(y), streamed.apply_adjoint(y)
-        assert np.abs(ad - as_).max() <= 1e-12 * max(np.abs(ad).max(), 1.0)
-
-
 @pytest.mark.parametrize("make_op", [
-    lambda: gaussian_operator(10, 300, seed=4, backend="dense"),
-    lambda: gaussian_operator(10, 300, seed=4, backend="streamed"),  # two chunks
+    lambda: gaussian_operator(10, 300, seed=4),
+    lambda: gaussian_operator(10, 1, seed=4),  # one row: k x 1 forward, 1-row adjoint
     lambda: identity_operator(10),
 ])
 def test_stacked_passes_match_single_passes(make_op):
@@ -79,16 +67,17 @@ def test_stacked_pass_shape_errors():
 
 
 def test_dense_rows_are_streamed_rows():
-    # m spans two streamed chunks; both backends take their rows from row_svec
-    dense = gaussian_operator(10, 300, seed=3, backend="dense")
-    streamed = gaussian_operator(10, 300, seed=3, backend="streamed")
-    rows = np.vstack([rows for _, rows in streamed._chunks()])
-    assert np.array_equal(dense._storage, rows)
+    # the documented row contract: row i is Philox stream i of the seed, scaled
+    n, m = 10, 300
+    op = gaussian_operator(n, m, seed=3)
+    for i in range(m):
+        want = rng.normals(3, i, n * (n + 1) // 2) * (1.0 / np.sqrt(m))
+        assert np.array_equal(op._storage[i], want), i
 
 
 def test_forward_trace_example():
     # single hand-built A_1 = I_2 in svec coordinates
-    op = gaussian_operator(2, 1, seed=0, backend="dense")
+    op = gaussian_operator(2, 1, seed=0)
     op._storage[0] = op.svec(np.eye(2))
     y = op.apply_forward(np.diag([1.0, 2.0]))
     assert y == pytest.approx([3.0])
@@ -96,7 +85,7 @@ def test_forward_trace_example():
 
 
 def test_forward_linearity():
-    op = gaussian_operator(6, 30, seed=9, backend="dense")
+    op = gaussian_operator(6, 30, seed=9)
     gen = np.random.default_rng(1)
     for _ in range(20):
         m1, m2 = _rand_sym(gen, 6), _rand_sym(gen, 6)
@@ -107,20 +96,19 @@ def test_forward_linearity():
 
 
 def test_adjoint_identity():
-    for backend in ("dense", "streamed"):
-        op = gaussian_operator(7, 25, seed=3, backend=backend)
-        gen = np.random.default_rng(2)
-        for _ in range(25):
-            m = _rand_sym(gen, 7)
-            y = gen.normal(size=25)
-            lhs = float(op.apply_forward(m) @ y)
-            rhs = float(np.sum(m * op.apply_adjoint(y)))
-            scale = np.linalg.norm(m) * np.linalg.norm(y)
-            assert abs(lhs - rhs) <= 1e-12 * scale
+    op = gaussian_operator(7, 25, seed=3)
+    gen = np.random.default_rng(2)
+    for _ in range(25):
+        m = _rand_sym(gen, 7)
+        y = gen.normal(size=25)
+        lhs = float(op.apply_forward(m) @ y)
+        rhs = float(np.sum(m * op.apply_adjoint(y)))
+        scale = np.linalg.norm(m) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_adjoint_of_basis_vector_is_sensing_matrix():
-    op = gaussian_operator(5, 12, seed=4, backend="dense")
+    op = gaussian_operator(5, 12, seed=4)
     for i in (0, 7, 11):
         e = np.zeros(12)
         e[i] = 1.0
@@ -128,26 +116,24 @@ def test_adjoint_of_basis_vector_is_sensing_matrix():
 
 
 def test_adjoint_output_exactly_symmetric():
-    for backend in ("dense", "streamed"):
-        op = gaussian_operator(9, 20, seed=8, backend=backend)
-        out = op.apply_adjoint(np.random.default_rng(3).normal(size=20))
-        assert np.abs(out - out.T).max() == 0.0
-        nrm = op.apply_adjoint(op.apply_forward(_rand_sym(np.random.default_rng(4), 9)))
-        assert np.abs(nrm - nrm.T).max() == 0.0
+    op = gaussian_operator(9, 20, seed=8)
+    out = op.apply_adjoint(np.random.default_rng(3).normal(size=20))
+    assert np.abs(out - out.T).max() == 0.0
+    nrm = op.apply_adjoint(op.apply_forward(_rand_sym(np.random.default_rng(4), 9)))
+    assert np.abs(nrm - nrm.T).max() == 0.0
 
 
 def test_residual_grad_matches_normal_form():
     gen = np.random.default_rng(9)
-    for backend in ("dense", "streamed"):
-        op = gaussian_operator(7, 30, seed=4, backend=backend)
-        x = gen.normal(size=(7, 3))
-        y = gen.normal(size=30)
-        f, w = op.residual_grad(x, y)
-        resid = op.apply_forward(x @ x.T) - y
-        assert f == 0.25 * float(resid @ resid)
-        expect = op.apply_adjoint(op.apply_forward(x @ x.T)) - op.apply_adjoint(y)
-        assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
-        assert np.abs(w - w.T).max() == 0.0
+    op = gaussian_operator(7, 30, seed=4)
+    x = gen.normal(size=(7, 3))
+    y = gen.normal(size=30)
+    f, w = op.residual_grad(x, y)
+    resid = op.apply_forward(x @ x.T) - y
+    assert f == 0.25 * float(resid @ resid)
+    expect = op.apply_adjoint(op.apply_forward(x @ x.T)) - op.apply_adjoint(y)
+    assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert np.abs(w - w.T).max() == 0.0
 
 
 def test_identity_operator():
@@ -167,7 +153,7 @@ def test_normal_unbiased():
     acc = np.zeros((n, n))
     ops = 10_000
     for k in range(ops):
-        op = gaussian_operator(n, 8, seed=k, backend="dense")
+        op = gaussian_operator(n, 8, seed=k)
         acc += op.apply_adjoint(op.apply_forward(m_mat))
     acc /= ops
     assert np.linalg.norm(acc - m_mat) <= 0.05 * np.linalg.norm(m_mat)
@@ -175,10 +161,7 @@ def test_normal_unbiased():
 
 def test_memory_cap():
     with pytest.raises(MemoryCapError):
-        gaussian_operator(100, 10_000, seed=0, backend="dense",
-                          memory_cap_bytes=10_000_000)
-    # streamed has no cap
-    gaussian_operator(100, 10_000, seed=0, backend="streamed")
+        gaussian_operator(100, 10_000, seed=0, memory_cap_bytes=10_000_000)
 
 
 def test_dimension_mismatch():
