@@ -14,6 +14,10 @@ enough to reproduce bit-exactly from any Philox implementation:
     u1[0..p-1] then u2[0..p-1], and interleaves (z0, z1); the trailing value
     is dropped when k is odd.
 
+`normals_block` runs the transform once over a block of streams, one row
+each; row j is bit for bit what its stream gives alone, and `normals` and
+`normals_from` are its one-row case.
+
 Derived seeds for independent components (ground truth, operator, noise, ...)
 come from `derive_seed`, a splitmix64 chain over the path of integer tags.
 """
@@ -54,19 +58,28 @@ def uniform_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normals_from(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` standard normals from `gen` via Box-Muller."""
-    if count == 0:
-        return np.empty(0)
+def normals_block(gens, count: int) -> np.ndarray:
+    """Row j holds `count` standard normals drawn from gens[j] via Box-Muller.
+
+    Each generator fills its own row of uniforms; the transform then runs
+    once over the whole block, so row j is exactly what gens[j] gives alone.
+    """
     pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
-    u1, u2 = u[:pairs], u[pairs:]
+    u = np.empty((len(gens), 2 * pairs))
+    for row, gen in zip(u, gens):
+        gen.random(out=row)
+    u1, u2 = u[:, :pairs], u[:, pairs:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], log is finite
     theta = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+    out = np.empty_like(u)
+    out[:, 0::2] = r * np.cos(theta)
+    out[:, 1::2] = r * np.sin(theta)
+    return out[:, :count]
+
+
+def normals_from(gen: np.random.Generator, count: int) -> np.ndarray:
+    """Draw `count` standard normals from `gen` via Box-Muller."""
+    return normals_block([gen], count)[0]
 
 
 def normals(seed: int, stream: int, count: int) -> np.ndarray:

@@ -12,14 +12,17 @@ i.i.d. N(0, 1/m), so row i of the operator is exactly
 
     normals(seed, stream=i, count=n(n+1)/2) * (1.0 / sqrt(m))
 
-from the package's documented Philox/Box-Muller stream (see rng.py).  The
-dense operator materializes these rows, taken from
-`SensingOperator.row_svec`, as an m x n(n+1)/2 array S; a forward pass is
-svec(M) S^T and an adjoint pass unsvec(y S).
+from the package's documented Philox/Box-Muller stream (see rng.py), as
+`SensingOperator.row_svec` gives it.  The dense operator materializes these
+rows as an m x n(n+1)/2 array S, built in blocks of rows on a few threads
+with every row bit-identical to `row_svec`; a forward pass is svec(M) S^T
+and an adjoint pass unsvec(y S).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,8 @@ from . import rng
 from .problem import NoiseModel, dense_m_star
 
 DEFAULT_MEMORY_CAP_BYTES = 2 << 30  # 2 GiB
+_BLOCK_BYTES = 256 << 10  # uniforms of one block of rows in the dense build
+_BUILD_THREADS_CAP = 8
 _RIP_EIGS_PAD = 1e-300  # keep trial eigenvalues away from exact zero
 
 
@@ -113,16 +118,26 @@ class SensingOperator:
         factor X; the matrix times X is the gradient of f.  One forward and
         one adjoint pass.  A k x n x r stack of factors gives the k losses as
         an array and the k matrices as a k x n x n stack, from one stacked
-        pass each way."""
+        pass each way; a single factor goes as a stack of one."""
         if x.ndim == 2:
-            resid = self.apply_forward(x @ x.T) - y
-            return 0.25 * float(resid @ resid), self.apply_adjoint(resid)
+            f, w = self.residual_grad(x[None], y)
+            return float(f[0]), w[0]
         resid = self.apply_forward(x @ np.swapaxes(x, 1, 2)) - y
         return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
 
 
 def gaussian_operator(n: int, m: int, seed: int,
                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> SensingOperator:
+    """Dense Gaussian operator whose row i is bit for bit `row_svec(i)`.
+
+    The rows are drawn in blocks whose uniforms take about 256 KB, each block
+    by one Box-Muller over its streams, written straight into the storage.
+    The blocks are shared out over min(usable CPUs, 8, blocks) threads, the
+    calling thread included; the Philox fills and the large ufunc loops
+    release the GIL.  An exception in any thread is raised here once all
+    have stopped.  No setting changes this, and no row depends on the
+    thread count.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     dim = n * (n + 1) // 2
@@ -132,8 +147,33 @@ def gaussian_operator(n: int, m: int, seed: int,
             f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
             f"(cap {memory_cap_bytes / 2**30:.2f} GiB)")
     op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
-    for i in range(m):  # row by row: a stack of rows would double peak memory
-        op._storage[i] = op.row_svec(i)
+    scale = 1.0 / np.sqrt(m)
+    rows = max(1, _BLOCK_BYTES // (16 * ((dim + 1) // 2)))
+    blocks = range(0, m, rows)
+    starts = iter(blocks)  # shared; each next() hands a block to one worker
+    errors = []
+
+    def fill():
+        try:
+            for start in starts:
+                stop = min(start + rows, m)
+                block = rng.normals_block(
+                    [rng.uniform_stream(seed, i) for i in range(start, stop)], dim)
+                np.multiply(block, scale, out=op._storage[start:stop])
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, _BUILD_THREADS_CAP, len(blocks))
+    helpers = [threading.Thread(target=fill) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    fill()  # the calling thread is one of the workers
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return op
 
 

@@ -31,6 +31,16 @@ def test_box_muller_layout():
     assert np.array_equal(rng.normals(9, 3, count), expect[:count])
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 101])
+def test_normals_block_rows_are_streams(count):
+    # one Box-Muller over a block of streams gives each stream's own values
+    streams = [5, 0, 3, 2**40, 3]
+    block = rng.normals_block([rng.uniform_stream(17, s) for s in streams], count)
+    assert block.shape == (len(streams), count)
+    for row, s in zip(block, streams):
+        assert np.array_equal(row, rng.normals(17, s, count)), s
+
+
 def test_moments():
     z = rng.normals(2024, 0, 200_000)
     assert abs(z.mean()) < 0.02

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from scaledgd import rng
+from scaledgd import rng, sensing
 from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
 from scaledgd.sensing import (MemoryCapError, estimate_rip_constant,
                               gaussian_operator, identity_operator, measure)
@@ -73,6 +76,89 @@ def test_dense_rows_are_streamed_rows():
     for i in range(m):
         want = rng.normals(3, i, n * (n + 1) // 2) * (1.0 / np.sqrt(m))
         assert np.array_equal(op._storage[i], want), i
+
+
+def _cpus(monkeypatch, count=64):
+    # as if `count` CPUs were usable; 64 lets the build use all the threads it may
+    monkeypatch.setattr(sensing.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("n, m", [
+    (1, 1),      # dim 1, one row
+    (2, 3),      # odd dim, m below the thread cap
+    (3, 5),      # even dim
+    (150, 1),    # two rows per block, one row in all
+    (150, 7),    # two rows per block, partial last block
+    (60, 35),    # 17 rows per block, partial last block
+    (30, 141),   # 70 rows per block, partial last block
+])
+def test_blocked_build_rows_are_row_svec(monkeypatch, n, m):
+    # every row, in place and in order, is bit for bit the documented row
+    _cpus(monkeypatch)
+    op = gaussian_operator(n, m, seed=12)
+    assert op._storage.shape == (m, n * (n + 1) // 2)
+    for i in range(m):
+        assert np.array_equal(op._storage[i], op.row_svec(i)), i
+
+
+def test_blocked_build_under_fast_thread_switching(monkeypatch):
+    # 8 threads on two-row blocks, switching every microsecond: no block is
+    # lost, repeated into the wrong rows or half written
+    _cpus(monkeypatch)
+    monkeypatch.setattr(sensing, "_BLOCK_BYTES", 16 * 5 * 2)  # 2 rows per block at n = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        op = gaussian_operator(4, 501, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(op.m):
+        assert np.array_equal(op._storage[i], op.row_svec(i)), i
+
+
+def test_blocked_build_propagates_worker_error(monkeypatch):
+    # a helper thread fails on its first stream while the calling thread
+    # waits for that; the error surfaces and every helper has stopped
+    _cpus(monkeypatch)
+    monkeypatch.setattr(sensing, "_BLOCK_BYTES", 16 * 8)  # 8 rows per block at n = 4
+    stream_of = rng.uniform_stream
+    helper_failed = threading.Event()
+
+    def failing(seed, stream=0):
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(10)
+            return stream_of(seed, stream)
+        helper_failed.set()
+        raise RuntimeError(f"stream {stream}")
+
+    monkeypatch.setattr(rng, "uniform_stream", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="stream"):
+        gaussian_operator(4, 60, seed=1)
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, cap, most", [(64, 3, 3), (2, 8, 2), (1, 8, 1)])
+def test_blocked_build_thread_bound(monkeypatch, cpus, cap, most):
+    # at most min(CPUs, cap) threads work, the calling thread included,
+    # though 20 blocks would allow more
+    assert sensing._BUILD_THREADS_CAP <= 8
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(sensing, "_BUILD_THREADS_CAP", cap)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    op = gaussian_operator(150, 40, seed=5)
+    assert 1 + len(started) <= most
+    for i in (0, 1, 38, 39):
+        assert np.array_equal(op._storage[i], op.row_svec(i))
 
 
 def test_forward_trace_example():
