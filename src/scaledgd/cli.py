@@ -13,6 +13,8 @@ import sys
 import typing
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .experiments import (PRESETS, TAG_NOISE, TAG_OPERATOR, TAG_TRUTH, SweepSpec,
                           emit_csv, point_config, preset_spec, run_sweep)
@@ -286,6 +288,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a runtime failure
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

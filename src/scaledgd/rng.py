@@ -14,9 +14,13 @@ enough to reproduce bit-exactly from any Philox implementation:
     u1[0..p-1] then u2[0..p-1], and interleaves (z0, z1); the trailing value
     is dropped when k is odd.
 
-`normals_block` runs the transform once over a block of streams, one row
-each; row j is bit for bit what its stream gives alone, and `normals` and
-`normals_from` are its one-row case.
+`normals_block` fills a block of rows, one stream each, from a single Philox
+generator that it re-keys to each row's stream (the same key, counter 0 and
+an empty output buffer), then runs the transform once over the block.  A
+Philox stream depends only on its key and counter, so row j is bit for bit
+what `uniform_stream` gives for its stream alone; re-keying just skips
+building a new generator, and the OS entropy it would seed from, per row.
+`normals` and `normals_from` run the same transform on one stream.
 
 Derived seeds for independent components (ground truth, operator, noise, ...)
 come from `derive_seed`, a splitmix64 chain over the path of integer tags.
@@ -58,28 +62,47 @@ def uniform_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normals_block(gens, count: int) -> np.ndarray:
-    """Row j holds `count` standard normals drawn from gens[j] via Box-Muller.
+def _rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
+    """Move the Philox `gen` to the start of the (seed, stream) stream, with no
+    output of its previous stream left in its buffer."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (int(seed) & _MASK64, int(stream) & _MASK64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
-    Each generator fills its own row of uniforms; the transform then runs
-    once over the whole block, so row j is exactly what gens[j] gives alone.
-    """
-    pairs = (count + 1) // 2
-    u = np.empty((len(gens), 2 * pairs))
-    for row, gen in zip(u, gens):
-        gen.random(out=row)
-    u1, u2 = u[:, :pairs], u[:, pairs:]
+
+def _box_muller(u: np.ndarray, count: int) -> np.ndarray:
+    """`count` normals from each row of uniforms u (u1 block, then u2 block)."""
+    pairs = u.shape[-1] // 2
+    u1, u2 = u[..., :pairs], u[..., pairs:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], log is finite
     theta = 2.0 * np.pi * u2
     out = np.empty_like(u)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :count]
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :count]
+
+
+def normals_block(seed: int, streams, count: int,
+                  gen: np.random.Generator) -> np.ndarray:
+    """Row j holds the `count` normals of stream streams[j] of `seed`.
+
+    `gen`, any Philox generator, is re-keyed to each stream in turn to fill
+    that row's uniforms; the Box-Muller then runs once over the whole block,
+    so row j is exactly `normals(seed, streams[j], count)`.
+    """
+    u = np.empty((len(streams), 2 * ((count + 1) // 2)))
+    for row, stream in zip(u, streams):
+        _rekey(gen, seed, stream)
+        gen.random(out=row)
+    return _box_muller(u, count)
 
 
 def normals_from(gen: np.random.Generator, count: int) -> np.ndarray:
     """Draw `count` standard normals from `gen` via Box-Muller."""
-    return normals_block([gen], count)[0]
+    return _box_muller(gen.random(2 * ((count + 1) // 2)), count)
 
 
 def normals(seed: int, stream: int, count: int) -> np.ndarray:

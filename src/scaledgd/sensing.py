@@ -82,6 +82,8 @@ class SensingOperator:
 
     def row_svec(self, i: int) -> np.ndarray:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""
+        if self.kind == "identity":
+            raise ValueError("row_svec applies to a Gaussian operator, not the identity")
         return rng.normals(self.seed, i, self.dim) * (1.0 / np.sqrt(self.m))
 
     def sensing_matrix(self, i: int) -> np.ndarray:
@@ -133,11 +135,14 @@ def gaussian_operator(n: int, m: int, seed: int,
     The rows are drawn in blocks whose uniforms take about 256 KB, each block
     by one Box-Muller over its streams, written straight into the storage.
     The blocks are shared out over min(usable CPUs, 8, blocks) threads, the
-    calling thread included; the Philox fills and the large ufunc loops
-    release the GIL.  An exception in any thread is raised here once all
+    calling thread included; each thread builds one Philox generator and
+    re-keys it for every row it draws.  The Philox fills and the large ufunc
+    loops release the GIL.  An exception in any thread is raised here once all
     have stopped.  No setting changes this, and no row depends on the
     thread count.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     dim = n * (n + 1) // 2
@@ -155,10 +160,10 @@ def gaussian_operator(n: int, m: int, seed: int,
 
     def fill():
         try:
+            gen = rng.uniform_stream(seed)  # re-keyed to each row's stream
             for start in starts:
                 stop = min(start + rows, m)
-                block = rng.normals_block(
-                    [rng.uniform_stream(seed, i) for i in range(start, stop)], dim)
+                block = rng.normals_block(seed, range(start, stop), dim, gen)
                 np.multiply(block, scale, out=op._storage[start:stop])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)

@@ -234,6 +234,15 @@ def test_run_divergence_writes_partial_trajectory(tmp_path, capsys):
     assert float(meta["final_loss"]) > 1e6 * float(rows[1][1])
 
 
+def test_run_singular_preconditioner_exits_1(tmp_path, capsys):
+    # LinAlgError is a ValueError, but a preconditioner that turns singular
+    # during a run is a runtime failure, not a flag or config error
+    out = str(tmp_path / "sing.csv")
+    assert main(["run", "--algorithm", "scaled-gd", "--n", "20", "--r-star", "2",
+                 "--r", "4", "--alpha", "1e-200", "--seed", "1", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: preconditioner singular")
+
+
 def _without_wall_ms(rows):
     col = SWEEP_COLUMNS.index("wall_ms")
     return [row[:col] + row[col + 1:] for row in rows]
@@ -329,6 +338,12 @@ def test_config_parse_errors(tmp_path, capsys):
 def test_rip_rank_zero(capsys):
     assert main(["rip", "--n", "5", "--m", "50", "--rank", "0"]) == 2
     assert "rank must be between 1 and n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_rip_rejects_nonpositive_n(capsys, n):
+    assert main(["rip", "--n", n, "--m", "5", "--rank", "1"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_rip_gaussian_requires_m(capsys):

@@ -122,22 +122,55 @@ def test_blocked_build_propagates_worker_error(monkeypatch):
     # waits for that; the error surfaces and every helper has stopped
     _cpus(monkeypatch)
     monkeypatch.setattr(sensing, "_BLOCK_BYTES", 16 * 8)  # 8 rows per block at n = 4
-    stream_of = rng.uniform_stream
+    rekey = rng._rekey
     helper_failed = threading.Event()
 
-    def failing(seed, stream=0):
+    def failing(gen, seed, stream):
         if threading.current_thread() is threading.main_thread():
             helper_failed.wait(10)
-            return stream_of(seed, stream)
+            return rekey(gen, seed, stream)
         helper_failed.set()
         raise RuntimeError(f"stream {stream}")
 
-    monkeypatch.setattr(rng, "uniform_stream", failing)
+    monkeypatch.setattr(rng, "_rekey", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="stream"):
         gaussian_operator(4, 60, seed=1)
     assert helper_failed.is_set()
     assert threading.active_count() == before
+
+
+def _count_started_threads(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_blocked_build_makes_one_generator_per_worker(monkeypatch):
+    # each worker builds one Philox and re-keys it for every row it draws:
+    # 38 blocks over 8 workers make at most 8 generators, not one a row
+    _cpus(monkeypatch)
+    monkeypatch.setattr(sensing, "_BLOCK_BYTES", 16 * 8)  # 8 rows per block at n = 4
+    started = _count_started_threads(monkeypatch)
+    makers = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        makers.append(threading.current_thread())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    op = gaussian_operator(4, 300, seed=2)
+    assert 1 <= len(makers) <= 1 + len(started) <= sensing._BUILD_THREADS_CAP
+    assert len(set(makers)) == len(makers)  # no worker made two
+    for i in (0, 7, 8, 150, 299):
+        assert np.array_equal(op._storage[i], op.row_svec(i)), i
 
 
 @pytest.mark.parametrize("cpus, cap, most", [(64, 3, 3), (2, 8, 2), (1, 8, 1)])
@@ -147,14 +180,7 @@ def test_blocked_build_thread_bound(monkeypatch, cpus, cap, most):
     assert sensing._BUILD_THREADS_CAP <= 8
     _cpus(monkeypatch, cpus)
     monkeypatch.setattr(sensing, "_BUILD_THREADS_CAP", cap)
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    started = _count_started_threads(monkeypatch)
     op = gaussian_operator(150, 40, seed=5)
     assert 1 + len(started) <= most
     for i in (0, 1, 38, 39):
@@ -231,6 +257,11 @@ def test_identity_operator():
     assert np.allclose(op.apply_adjoint(v), m, atol=1e-15)
 
 
+def test_identity_operator_has_no_gaussian_rows():
+    with pytest.raises(ValueError, match="identity"):
+        identity_operator(3).row_svec(0)
+
+
 def test_normal_unbiased():
     # E(A*A) = identity: Monte-Carlo over independent operators
     n = 4
@@ -248,6 +279,12 @@ def test_normal_unbiased():
 def test_memory_cap():
     with pytest.raises(MemoryCapError):
         gaussian_operator(100, 10_000, seed=0, memory_cap_bytes=10_000_000)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_gaussian_operator_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gaussian_operator(n, 5, seed=0)
 
 
 def test_dimension_mismatch():
