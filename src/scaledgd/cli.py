@@ -16,12 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .experiments import (PRESETS, TAG_NOISE, TAG_OPERATOR, TAG_TRUTH, SweepSpec,
-                          emit_csv, point_config, preset_spec, run_sweep)
-from .problem import NoiseModel, make_ground_truth
+from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, point_instance,
+                          preset_spec, run_sweep)
 from .rng import derive_seed
-from .sensing import estimate_rip_constant, gaussian_operator, identity_operator, measure
-from .solver import DAMPING_FRAC, DivergenceError, estimate_damping, run
+from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
+from .solver import (DAMPING_FRAC, DivergenceError, PreconditionerError,
+                     estimate_damping, run)
 
 
 class CliError(ValueError):
@@ -113,13 +113,8 @@ def cmd_run(args) -> int:
         raise CliError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
-    gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
-    if args.operator == "identity":
-        op = identity_operator(spec.n)
-    else:
-        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
-    y = measure(op, gt, NoiseModel(sigma=spec.sigma,
-                                   seed=derive_seed(seed, TAG_NOISE))).y
+    gt, op, y = point_instance(
+        spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
 
     # ScaledGD(lambda) estimates lambda at r* as the sweeps do, --lambda-auto at
     # its own rank guess; the other algorithms are undamped unless --lambda
@@ -130,15 +125,15 @@ def cmd_run(args) -> int:
             op, y, args.lambda_auto, c_frac=spec.damping_frac).lambda_hat)
     elif spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
         spec = replace(spec, lam=0.0)
-    config = replace(point_config(spec, seed, spec.kappa, op, y),
+    config = replace(point_config(spec, seed, op, y),
                      algorithm=args.algorithm.replace("-", "_"),
                      init=args.init.replace("-", "_"))
 
-    diverged = None
+    failed = None
     try:
         traj = run(op, y, config, oracle=gt, collect_diagnostics=args.diagnostics)
-    except DivergenceError as exc:  # write what was recorded, then exit 1
-        diverged, traj = exc, exc.trajectory
+    except (DivergenceError, PreconditionerError) as exc:
+        failed, traj = exc, exc.trajectory  # write what was recorded, then exit 1
     emit_csv(traj, args.out)
     _write_sidecar(args.out, {
         "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
@@ -152,8 +147,8 @@ def cmd_run(args) -> int:
         "final_iter": traj.final_state.t, "final_loss": traj.final_state.loss,
         "version": __version__,
     })
-    if diverged is not None:
-        raise diverged
+    if failed is not None:
+        raise failed
     last = traj.records[-1]
     print(f"stop={traj.stop_reason} iters={traj.final_state.t} "
           f"loss={traj.final_state.loss:.3e} rel_err_fro={last.rel_err_fro:.3e}")

@@ -8,6 +8,8 @@ blocks:
 where S = U*^T X has thin SVD U Sigma V^T, S~ = S V (signal), N~ = (U*perp^T X) V
 (misalignment) and O~ = (U*perp^T X) Vperp (surplus-rank component).  The scalar
 metrics derived from the blocks track which phase of the run the iterate is in.
+V's column signs are whatever the SVD returns: neither the metrics nor the
+reassembled X depend on them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fix_sv_signs, orthonormal_complement, spectral_norm
+from .linalg import orthonormal_complement, spectral_norm
 from .problem import ApproxTruth, GroundTruth, dense_m_star
 
 
@@ -44,7 +46,6 @@ class PhaseMetrics:
     misalign: float           # ||N~ S~^{-1} Sigma*||, inf when S~ singular
     gamma_norm: float         # ||Sigma*^{-1}(S~ S~^T - Sigma*^2) Sigma*^{-1}||
     overparam_norm: float     # ||O~||
-    signal_norm: float        # ||S~||
 
 
 def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
@@ -61,11 +62,7 @@ def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
         u_perp = orthonormal_complement(u_star)
     s = u_star.T @ x                       # r* x r
     n_blk = u_perp.T @ x                   # (n - r*) x r
-    u, sv, vt = np.linalg.svd(s, full_matrices=False)
-    order = np.argsort(sv)[::-1]
-    u, sv, vt = u[:, order], sv[order], vt[order]
-    u, vt = fix_sv_signs(u, vt)
-    v = vt.T                               # r x r*
+    v = np.linalg.svd(s, full_matrices=False)[2].T  # r x r*
     v_perp = orthonormal_complement(v) if r > r_star else np.empty((r, 0))
     return IterateDecomposition(
         s_tilde=s @ v, n_tilde=n_blk @ v,
@@ -91,10 +88,8 @@ def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
     gamma = gram_err / sigma[:, None] / sigma[None, :]
     gamma_norm = float(np.linalg.norm(gamma, 2))
     overparam_norm = float(np.linalg.norm(dec.o_tilde, 2)) if dec.o_tilde.size else 0.0
-    signal_norm = float(np.linalg.norm(s_tilde, 2))
     return PhaseMetrics(sigma_min_scaled=sigma_min_scaled, misalign=misalign,
-                        gamma_norm=gamma_norm, overparam_norm=overparam_norm,
-                        signal_norm=signal_norm)
+                        gamma_norm=gamma_norm, overparam_norm=overparam_norm)
 
 
 def rel_err_op(x: np.ndarray, truth) -> float:

@@ -31,7 +31,8 @@ TRAJECTORY_COLUMNS = ("iter", "loss", "rel_err_fro", "rel_err_op",
 SWEEP_COLUMNS = ("axis", "axis_value", "trial", "algorithm", "iters_to_target",
                  "final_rel_err_fro", "final_rel_err_op", "stop_reason", "wall_ms")
 
-AXES = ("kappa", "alpha", "rank_r", "noise_sigma")
+# each sweep axis and the SweepSpec field its values set
+AXES = {"kappa": "kappa", "alpha": "alpha", "rank_r": "r", "noise_sigma": "sigma"}
 
 
 @dataclass(frozen=True)
@@ -177,22 +178,29 @@ def _row(spec, axis_value, trial, config, traj: Trajectory) -> ExperimentRecord:
                             traj.stop_reason, ms)
 
 
-def point_config(spec: SweepSpec, seed: int, value, op, y) -> SolverConfig:
-    """ScaledGD(lambda)'s SolverConfig at one axis value (an int on the rank
-    axis), for the sweeps and `scaledgd run`.  lambda is estimated at
-    spec.damping_frac of the r*-th eigenvalue of A*(y) when spec.lam is
-    "auto"; the init seed is derived from `seed`.  The alpha axis stops on
-    patience alone."""
+def point_instance(spec: SweepSpec, seed: int, op=None):
+    """(truth, operator, y) of one point, for the sweeps and `scaledgd run`:
+    the truth, the Gaussian operator (unless `op` is given) and the noise are
+    drawn from seeds derived from `seed`."""
+    gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
+    if op is None:
+        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
+    noise = NoiseModel(sigma=spec.sigma, seed=derive_seed(seed, TAG_NOISE))
+    return gt, op, measure(op, gt, noise).y
+
+
+def point_config(spec: SweepSpec, seed: int, op, y) -> SolverConfig:
+    """ScaledGD(lambda)'s SolverConfig at one point, for the sweeps and
+    `scaledgd run`.  lambda is estimated at spec.damping_frac of the r*-th
+    eigenvalue of A*(y) when spec.lam is "auto"; the init seed is derived
+    from `seed`.  The alpha axis stops on patience alone."""
     lam = (estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
            if spec.lam == "auto" else float(spec.lam))
     stop = StoppingRule(
         target_rel_err=None if spec.axis == "alpha" else spec.target_rel_err,
         patience=spec.patience, improve_tol=spec.improve_tol)
-    return SolverConfig(algorithm="scaled_gd_lambda",
-                        r=value if spec.axis == "rank_r" else spec.r,
-                        eta=spec.eta, lam=lam,
-                        alpha=value if spec.axis == "alpha" else spec.alpha,
-                        max_iters=spec.max_iters, stop=stop,
+    return SolverConfig(algorithm="scaled_gd_lambda", r=spec.r, eta=spec.eta,
+                        lam=lam, alpha=spec.alpha, max_iters=spec.max_iters, stop=stop,
                         seed_init=derive_seed(seed, TAG_INIT),
                         record_every=spec.record_every)
 
@@ -206,13 +214,9 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
     if spec.axis == "rank_r":
         value = int(value)
     seed = derive_seed(spec.master_seed, axis_index, trial)
-    gt = make_ground_truth(spec.n, spec.r_star,
-                           value if spec.axis == "kappa" else spec.kappa,
-                           derive_seed(seed, TAG_TRUTH))
-    op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
-    sigma = value if spec.axis == "noise_sigma" else spec.sigma
-    y = measure(op, gt, NoiseModel(sigma=sigma, seed=derive_seed(seed, TAG_NOISE))).y
-    cfg = point_config(spec, seed, value, op, y)
+    point = replace(spec, **{AXES[spec.axis]: value})
+    gt, op, y = point_instance(point, seed)
+    cfg = point_config(point, seed, op, y)
     configs = [cfg]
     if spec.axis == "kappa":
         gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
@@ -296,38 +300,21 @@ def _fmt(value) -> str:
 
 
 def emit_csv(data, path) -> None:
-    """Write a sweep record list or a Trajectory with deterministic formatting."""
+    """Write a sweep record list or a Trajectory with deterministic formatting.
+    A sweep row is its record's fields; a trajectory row is its record's,
+    with the phase metrics (empty without diagnostics) in the middle."""
+    if isinstance(data, Trajectory):
+        columns = TRAJECTORY_COLUMNS
+        rows = [[rec.t, rec.loss, rec.rel_err_fro, rec.rel_err_op,
+                 *(getattr(rec.metrics, col, None) for col in TRAJECTORY_COLUMNS[4:8]),
+                 rec.elapsed_ms] for rec in data.records]
+    else:
+        columns = SWEEP_COLUMNS
+        rows = [[getattr(rec, col) for col in SWEEP_COLUMNS] for rec in data]
     try:
-        if isinstance(data, Trajectory):
-            _emit_trajectory(data, path)
-        else:
-            _emit_records(list(data), path)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([_fmt(value) for value in row] for row in rows)
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def _emit_records(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.axis, _fmt(float(rec.axis_value)), rec.trial,
-                             rec.algorithm, rec.iters_to_target,
-                             _fmt(rec.final_rel_err_fro),
-                             _fmt(rec.final_rel_err_op), rec.stop_reason,
-                             _fmt(rec.wall_ms)])
-
-
-def _emit_trajectory(traj: Trajectory, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for rec in traj.records:
-            met = rec.metrics
-            writer.writerow([
-                rec.t, _fmt(rec.loss), _fmt(rec.rel_err_fro), _fmt(rec.rel_err_op),
-                _fmt(met.sigma_min_scaled if met else None),
-                _fmt(met.misalign if met else None),
-                _fmt(met.gamma_norm if met else None),
-                _fmt(met.overparam_norm if met else None),
-                _fmt(rec.elapsed_ms)])

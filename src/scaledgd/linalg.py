@@ -33,16 +33,3 @@ def spectral_norm(a: np.ndarray):
         return 0.0, 0
     return float(np.abs(np.linalg.eigvalsh(a)).max()), 0
 
-
-def fix_sv_signs(u: np.ndarray, vt: np.ndarray):
-    """Fix SVD sign ambiguity: largest-|entry| of each right-singular vector
-    is made positive (first occurrence on ties); u columns flip to match."""
-    u = u.copy()
-    vt = vt.copy()
-    for j in range(vt.shape[0]):
-        row = vt[j]
-        k = int(np.argmax(np.abs(row)))
-        if row[k] < 0:
-            vt[j] = -row
-            u[:, j] = -u[:, j]
-    return u, vt

@@ -30,10 +30,11 @@ import numpy as np
 from . import rng
 from .problem import NoiseModel, dense_m_star
 
-DEFAULT_MEMORY_CAP_BYTES = 2 << 30  # 2 GiB
+MEMORY_CAP_BYTES = 2 << 30  # 2 GiB: the largest dense operator built
 _BLOCK_BYTES = 256 << 10  # uniforms of one block of rows in the dense build
 _BUILD_THREADS_CAP = 8
 _RIP_EIGS_PAD = 1e-300  # keep trial eigenvalues away from exact zero
+_RIP_CHUNK = 64  # trial matrices per stacked forward pass
 
 
 class MemoryCapError(MemoryError):
@@ -86,14 +87,6 @@ class SensingOperator:
             raise ValueError("row_svec applies to a Gaussian operator, not the identity")
         return rng.normals(self.seed, i, self.dim) * (1.0 / np.sqrt(self.m))
 
-    def sensing_matrix(self, i: int) -> np.ndarray:
-        """A_i as a dense symmetric matrix."""
-        if self.kind == "identity":
-            e = np.zeros(self.m)
-            e[i] = 1.0
-            return self.unsvec(e)
-        return self.unsvec(self._storage[i])
-
     # -- forward / adjoint -------------------------------------------------
 
     # Each pass also takes a stack: k matrices (k x n x n) go forward as the
@@ -128,8 +121,7 @@ class SensingOperator:
         return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
 
 
-def gaussian_operator(n: int, m: int, seed: int,
-                      memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> SensingOperator:
+def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
     """Dense Gaussian operator whose row i is bit for bit `row_svec(i)`.
 
     The rows are drawn in blocks whose uniforms take about 256 KB, each block
@@ -139,7 +131,8 @@ def gaussian_operator(n: int, m: int, seed: int,
     re-keys it for every row it draws.  The Philox fills and the large ufunc
     loops release the GIL.  An exception in any thread is raised here once all
     have stopped.  No setting changes this, and no row depends on the
-    thread count.
+    thread count.  An operator past MEMORY_CAP_BYTES is refused before any
+    allocation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -147,10 +140,10 @@ def gaussian_operator(n: int, m: int, seed: int,
         raise ValueError("m must be >= 1")
     dim = n * (n + 1) // 2
     nbytes = 8 * m * dim
-    if nbytes > memory_cap_bytes:
+    if nbytes > MEMORY_CAP_BYTES:
         raise MemoryCapError(
             f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
-            f"(cap {memory_cap_bytes / 2**30:.2f} GiB)")
+            f"(cap {MEMORY_CAP_BYTES / 2**30:.2f} GiB)")
     op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
     scale = 1.0 / np.sqrt(m)
     rows = max(1, _BLOCK_BYTES // (16 * ((dim + 1) // 2)))
@@ -190,8 +183,6 @@ def identity_operator(n: int) -> SensingOperator:
 @dataclass(frozen=True)
 class Measurements:
     y: np.ndarray
-    sigma: float
-    seed_noise: int
 
 
 def measure(op: SensingOperator, truth, noise: NoiseModel | None = None) -> Measurements:
@@ -201,7 +192,7 @@ def measure(op: SensingOperator, truth, noise: NoiseModel | None = None) -> Meas
     y = op.apply_forward(dense_m_star(truth))
     if noise.sigma > 0:
         y = y + noise.draw(op.m)
-    return Measurements(y=y, sigma=noise.sigma, seed_noise=noise.seed)
+    return Measurements(y=y)
 
 
 @dataclass(frozen=True)
@@ -222,6 +213,9 @@ class RipEstimate:
 
 def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
                           seed: int) -> RipEstimate:
+    """Trial t draws its matrix from stream (seed, t).  The trials go forward
+    in chunks of _RIP_CHUNK, one stacked pass a chunk, so memory does not
+    grow with `trials`."""
     if not 1 <= rank <= op.n:
         raise ValueError(f"rank must be between 1 and n = {op.n}")
     if trials < 1:
@@ -229,20 +223,23 @@ def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
     n = op.n
     min_ratio = np.inf
     max_ratio = -np.inf
-    for t in range(trials):
-        gen = rng.uniform_stream(seed, t)
-        g = rng.normals_from(gen, n * rank).reshape(n, rank)
-        q, _ = np.linalg.qr(g)
-        mags = gen.random(rank) + _RIP_EIGS_PAD
-        signs = np.where(gen.random(rank) < 0.5, -1.0, 1.0)
-        lam = signs * mags
-        lam /= np.linalg.norm(lam)
-        mat = (q * lam) @ q.T
-        v = op.svec(mat)
-        ym = op.apply_forward(mat)
-        ratio = float(ym @ ym) / float(v @ v)  # v @ v is ||M||_F^2
-        min_ratio = min(min_ratio, ratio)
-        max_ratio = max(max_ratio, ratio)
+    for first in range(0, trials, _RIP_CHUNK):  # one stacked pass per chunk
+        mats = []
+        for t in range(first, min(first + _RIP_CHUNK, trials)):
+            gen = rng.uniform_stream(seed, t)
+            g = rng.normals_from(gen, n * rank).reshape(n, rank)
+            q, _ = np.linalg.qr(g)
+            mags = gen.random(rank) + _RIP_EIGS_PAD
+            signs = np.where(gen.random(rank) < 0.5, -1.0, 1.0)
+            lam = signs * mags
+            lam /= np.linalg.norm(lam)
+            mats.append((q * lam) @ q.T)
+        mats = np.stack(mats)
+        # ||A(M)||^2 / ||svec(M)||^2, and ||svec(M)||^2 is ||M||_F^2
+        ratios = [float(ym @ ym) / float(v @ v)
+                  for ym, v in zip(op.apply_forward(mats), op.svec(mats))]
+        min_ratio = min(min_ratio, *ratios)
+        max_ratio = max(max_ratio, *ratios)
     delta_hat = max(1.0 - min_ratio, max_ratio - 1.0, 0.0)
     return RipEstimate(rank=rank, trials=trials, delta_hat=delta_hat,
                        min_ratio=min_ratio, max_ratio=max_ratio)

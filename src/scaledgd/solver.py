@@ -38,7 +38,13 @@ DAMPING_FRAC = 0.05
 
 
 class PreconditionerError(np.linalg.LinAlgError):
-    pass
+    """X^T X + lambda_t I is not positive definite.  Raised by run() with
+    trajectory, the run up to the failed step (stop reason
+    "preconditioner_singular")."""
+
+    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 class DivergenceError(RuntimeError):
@@ -134,7 +140,9 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class Trajectory:
     records: tuple
-    stop_reason: str   # target_reached | patience | max_iters | diverged (see run_batch)
+    # target_reached | patience | max_iters | diverged | preconditioner_singular
+    # (see run_batch)
+    stop_reason: str
     final_state: IterateState
 
 
@@ -196,9 +204,6 @@ def spectral_init(op: SensingOperator, y: np.ndarray, r: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DampingEstimate:
     lambda_hat: float
-    rank_guess: int
-    spectrum_used: np.ndarray
-    c_frac: float
 
 
 def estimate_damping(op: SensingOperator, y: np.ndarray, rank_guess: int,
@@ -210,8 +215,7 @@ def estimate_damping(op: SensingOperator, y: np.ndarray, rank_guess: int,
     vals = np.linalg.eigvalsh(op.apply_adjoint(y))[::-1]
     floor = 1e-12 * max(vals[0], np.finfo(float).tiny)
     lambda_hat = c_frac * max(vals[rank_guess - 1], floor)
-    return DampingEstimate(lambda_hat=float(lambda_hat), rank_guess=rank_guess,
-                           spectrum_used=vals[:rank_guess].copy(), c_frac=c_frac)
+    return DampingEstimate(lambda_hat=float(lambda_hat))
 
 
 # -- run loop -------------------------------------------------------------------
@@ -304,7 +308,10 @@ class _Run:
         if lam_t is None:
             self.x = step_gd(x, w @ x, config.eta)
         else:
-            self.x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
+            try:
+                self.x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
+            except PreconditionerError:
+                self._finish("preconditioner_singular", t, cur_loss, start)
 
     def _finish(self, stop_reason, t, cur_loss, start):
         final = IterateState(x=self.x, t=t, loss=cur_loss,
@@ -324,7 +331,9 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     keeps its own stopping rules, record cadence and steps, as run()
     describes; a run leaves the batch when it stops.  A run whose
     loss blows up leaves with stop reason "diverged", its records made before
-    the blow-up and, as final state, the iterate that blew up.  elapsed_ms
+    the blow-up and, as final state, the iterate that blew up.  A run whose
+    preconditioner is singular at its step leaves the same way with stop
+    reason "preconditioner_singular"; the others keep going.  elapsed_ms
     and elapsed_ns count from the batch's start.
     """
     if collect_diagnostics and not isinstance(oracle, GroundTruth):
@@ -352,10 +361,14 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     active.  Records are made every record_every iterations and at the stop.
     Diagnostics (phase metrics) are computed only at record points and only
     on request; they need a GroundTruth oracle.  A loss that blows up raises
-    DivergenceError carrying the records made so far.  This is run_batch
-    with one configuration.
+    DivergenceError carrying the records made so far, and a singular
+    preconditioner raises PreconditionerError carrying them.  This is
+    run_batch with one configuration.
     """
     traj, = run_batch(op, y, [config], oracle, collect_diagnostics)
     if traj.stop_reason == "diverged":
         raise DivergenceError(traj)
+    if traj.stop_reason == "preconditioner_singular":
+        raise PreconditionerError(f"preconditioner singular at iteration "
+                                  f"{traj.final_state.t}; use lambda > 0", traj)
     return traj

@@ -236,11 +236,19 @@ def test_run_divergence_writes_partial_trajectory(tmp_path, capsys):
 
 def test_run_singular_preconditioner_exits_1(tmp_path, capsys):
     # LinAlgError is a ValueError, but a preconditioner that turns singular
-    # during a run is a runtime failure, not a flag or config error
+    # during a run is a runtime failure, not a flag or config error; as for a
+    # diverged run, what was recorded and the settings are written first
     out = str(tmp_path / "sing.csv")
     assert main(["run", "--algorithm", "scaled-gd", "--n", "20", "--r-star", "2",
                  "--r", "4", "--alpha", "1e-200", "--seed", "1", "--out", out]) == 1
     assert capsys.readouterr().err.startswith("runtime error: preconditioner singular")
+    rows = _read_csv(out)
+    assert rows[0] == list(TRAJECTORY_COLUMNS)
+    assert [row[0] for row in rows[1:]] == ["0"]
+    meta = _read_meta(out + ".meta")
+    assert meta["stop_reason"] == "preconditioner_singular"
+    assert meta["final_iter"] == "0"
+    assert meta["final_loss"] == repr(float(rows[1][1]))
 
 
 def _without_wall_ms(rows):

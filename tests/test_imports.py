@@ -1,15 +1,36 @@
-"""Every name a module of the package imports is used in it.  No linter is a
-dependency, so this walks the sources with `ast`: an imported name that no
-`Name` node of the module refers to is stale.  `__init__.py` only re-exports,
-and `from __future__` imports are directives, so both are exempt."""
+"""Static checks on the package's sources.  No linter is a dependency, so
+these walk the sources with `ast`.
+
+- Every name a module imports is used in it: an imported name that no `Name`
+  node of the module refers to is stale.
+- Every top-level function and class, and every method, has a caller: some
+  module of the package, the benchmark harness (whose tracer names its
+  targets in strings) or the acceptance suite refers to it.  The check goes
+  by name, so a method counts as called when any attribute of that name is
+  read.  Dunder methods are called by Python itself.
+
+`__init__.py` only re-exports, so it is neither checked nor counted as a
+caller, and `from __future__` imports are directives."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scaledgd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scaledgd"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+# sources that count as callers besides the package's own modules
+CALLERS = sorted((ROOT / "benchmarks").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+# definitions with no caller, kept on purpose
+UNCALLED_OK = {
+    "sensing.SensingOperator.row_svec": "the documented reference for operator row i",
+    "problem.make_approx_truth": "the approximately low-rank truth of the claims "
+                                 "ledger's tail-decay check",
+    "problem.GroundTruth.x_star": "the planted factor, for the same check",
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -24,6 +45,44 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def _definitions(tree) -> list[str]:
+    """Top-level functions and classes, and methods as Class.method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{sub.name}" for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+    return out
+
+
+def _references(tree, strings: bool) -> set[str]:
+    """Names, attributes and imported names a source refers to and, with
+    `strings`, every word of its string constants."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.asname or node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(re.findall(r"\w+", node.value))
+    return refs
+
+
+def _uncalled(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """module.definition for each definition in `modules` (name -> source)
+    that neither they nor the `callers` sources refer to."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    refs = set().union(*(_references(tree, False) for tree in trees.values()),
+                       *(_references(ast.parse(source), True) for source in callers))
+    return [f"{name}.{defn}" for name, tree in trees.items()
+            for defn in _definitions(tree) if defn.rsplit(".", 1)[-1] not in refs]
 
 
 def test_modules_found():
@@ -41,3 +100,22 @@ def test_checker_flags_an_unused_import():
               "from .x import a, b\n"
               "print(system.argv, a)\n")
     assert _unused_imports(source) == ["line 2: os", "line 3: b"]
+
+
+def test_every_definition_has_a_caller():
+    # an allowlisted definition that gains a caller leaves the allowlist
+    uncalled = _uncalled({path.stem: path.read_text() for path in MODULES},
+                         [path.read_text() for path in CALLERS])
+    assert sorted(uncalled) == sorted(UNCALLED_OK)
+
+
+def test_checker_flags_a_definition_without_a_caller():
+    modules = {"a": ("class K:\n"
+                     "    def __repr__(self): return 'K'\n"
+                     "    def used(self): pass\n"
+                     "    def traced(self): pass\n"
+                     "    def unused(self): pass\n"
+                     "def helper(): return K().used()\n"
+                     "def orphan(): pass\n"),
+               "b": "from .a import helper\n"}
+    assert _uncalled(modules, ["TARGETS = [('a', 'K.traced')]"]) == ["a.K.unused", "a.orphan"]

@@ -224,7 +224,7 @@ def test_adjoint_of_basis_vector_is_sensing_matrix():
     for i in (0, 7, 11):
         e = np.zeros(12)
         e[i] = 1.0
-        assert np.allclose(op.apply_adjoint(e), op.sensing_matrix(i), atol=1e-15)
+        assert np.allclose(op.apply_adjoint(e), op.unsvec(op.row_svec(i)), atol=1e-15)
 
 
 def test_adjoint_output_exactly_symmetric():
@@ -277,8 +277,10 @@ def test_normal_unbiased():
 
 
 def test_memory_cap():
-    with pytest.raises(MemoryCapError):
-        gaussian_operator(100, 10_000, seed=0, memory_cap_bytes=10_000_000)
+    # 1000 x 1000 matrices and 10 000 rows would take 37 GiB; refused before
+    # any allocation
+    with pytest.raises(MemoryCapError, match="cap 2.00 GiB"):
+        gaussian_operator(1000, 10_000, seed=0)
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -319,6 +321,22 @@ def test_rip_gaussian_well_sampled():
     op = gaussian_operator(n, 40 * n * rank, seed=17)
     est = estimate_rip_constant(op, rank, 200, seed=1)
     assert 0.0 < est.delta_hat < 0.5
+
+
+def test_rip_trials_go_forward_in_chunks(monkeypatch):
+    # 150 trials make stacked passes of 64, 64 and 22 matrices; one trial a
+    # pass gives the same ratios up to rounding
+    op = gaussian_operator(8, 300, seed=5)
+    stacks = []
+    forward = op.apply_forward
+    op.apply_forward = lambda mats: stacks.append(len(mats)) or forward(mats)
+    stacked = estimate_rip_constant(op, 2, 150, seed=6)
+    assert stacks == [64, 64, 22]
+    monkeypatch.setattr(sensing, "_RIP_CHUNK", 1)
+    alone = estimate_rip_constant(op, 2, 150, seed=6)
+    assert len(stacks) == 3 + 150
+    for field in ("delta_hat", "min_ratio", "max_ratio"):
+        assert getattr(stacked, field) == pytest.approx(getattr(alone, field), rel=1e-13)
 
 
 def test_rip_single_measurement_near_one():

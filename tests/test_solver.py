@@ -376,6 +376,31 @@ def test_run_batch_keeps_diverged_run_and_the_others():
         _assert_same_run(traj, _alone(op, y, config, gt), gt.spectral_norm_m())
 
 
+def test_run_batch_keeps_going_past_a_singular_preconditioner():
+    # ScaledGD from alpha = 1e-200: X^T X underflows to a singular matrix at
+    # the first step.  That run leaves with its records and stop reason
+    # "preconditioner_singular"; the damped run on the same operator goes on
+    # as it would alone
+    gt = make_ground_truth(20, 2, 2, seed=9)
+    op = gaussian_operator(20, 400, seed=10)
+    y = measure(op, gt).y
+    lam = estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
+    damped = SolverConfig(algorithm="scaled_gd_lambda", r=4, eta=0.3, lam=lam,
+                          alpha=1e-27, max_iters=400,
+                          stop=StoppingRule(target_rel_err=1e-9), seed_init=11)
+    singular = replace(damped, algorithm="scaled_gd", lam=0.0, alpha=1e-200)
+    stopped, finished = run_batch(op, y, [singular, damped], oracle=gt)
+    assert stopped.stop_reason == "preconditioner_singular"
+    assert stopped.final_state.t == 0 and [r.t for r in stopped.records] == [0]
+    assert finished.stop_reason == "target_reached"
+    _assert_same_run(finished, run(op, y, damped, oracle=gt), gt.spectral_norm_m())
+    # run() raises, with the trajectory up to the failed step
+    with pytest.raises(PreconditionerError, match="at iteration 0") as info:
+        run(op, y, singular, oracle=gt)
+    assert info.value.trajectory.stop_reason == "preconditioner_singular"
+    assert [r.loss for r in info.value.trajectory.records] == [stopped.records[0].loss]
+
+
 def test_preconditioner_singularity():
     x = np.zeros((5, 2))
     x[:, 0] = 1.0  # rank deficient, X^T X singular
