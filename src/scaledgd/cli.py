@@ -20,12 +20,7 @@ from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, point_inst
                           preset_spec, run_sweep)
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
-from .solver import (DAMPING_FRAC, DivergenceError, PreconditionerError,
-                     estimate_damping, run)
-
-
-class CliError(ValueError):
-    pass
+from .solver import DivergenceError, PreconditionerError, run
 
 
 def _write_sidecar(path: str, settings: dict) -> None:
@@ -42,7 +37,7 @@ def _parse_kv_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             out[key] = value
     return out
@@ -55,7 +50,7 @@ def _config_value(key: str, text: str):
     """A config value parsed as the type SweepSpec declares for `key`; 'none'
     (or 'auto', as for m) is None where the field allows it."""
     if key not in _SPEC_TYPES:
-        raise CliError(f"unknown sweep config key {key!r}")
+        raise ValueError(f"unknown sweep config key {key!r}")
     hint = _SPEC_TYPES[key]
     kinds = typing.get_args(hint) or (hint,)
     if type(None) in kinds and text in ("none", "auto"):
@@ -68,7 +63,7 @@ def _config_value(key: str, text: str):
                 return kind(text)
             except ValueError:
                 pass
-    raise CliError(f"bad value {text!r} for setting {key!r}")
+    raise ValueError(f"bad value {text!r} for setting {key!r}")
 
 
 def _config_text(value) -> str:
@@ -95,35 +90,29 @@ def _run_spec(args) -> SweepSpec:
     """A run as a one-point kappa sweep: a preset's settings or SweepSpec's
     defaults, then the flags.  Without a preset, a run has no target, 1500
     iterations and, when no stopping rule is set, a patience of 100."""
-    fields = _spec_fields(args)
+    # on the kappa axis from the start: fig-alpha's axis would drop a --target
+    fields = dict(_spec_fields(args), axis="kappa", values=(0,))
     if args.preset:
         spec = preset_spec(args.preset, **fields)
     else:
         fields = {"target_rel_err": None, "max_iters": 1500, **fields}
         if fields["target_rel_err"] is None:
             fields.setdefault("patience", 100)
-        spec = SweepSpec(axis="kappa", values=(0,), **fields)  # values set below
-    return replace(spec, axis="kappa", values=(spec.kappa,))
+        spec = SweepSpec(**fields)
+    return replace(spec, values=(spec.kappa,))
 
 
 def cmd_run(args) -> int:
-    if args.lam is not None and args.lambda_auto is not None:
-        raise CliError("pass either --lambda or --lambda-auto, not both")
     if args.operator == "identity" and args.m is not None:
-        raise CliError("--m does not apply to --operator identity (m = n(n+1)/2)")
+        raise ValueError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
     gt, op, y = point_instance(
         spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
 
-    # ScaledGD(lambda) estimates lambda at r* as the sweeps do, --lambda-auto at
-    # its own rank guess; the other algorithms are undamped unless --lambda
-    estimated = args.lambda_auto is not None or (
-        spec.lam == "auto" and args.algorithm == "scaled-gd-lambda")
-    if args.lambda_auto is not None:
-        spec = replace(spec, lam=estimate_damping(
-            op, y, args.lambda_auto, c_frac=spec.damping_frac).lambda_hat)
-    elif spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
+    # ScaledGD(lambda) estimates lambda at r* as the sweeps do; the other
+    # algorithms are undamped unless --lambda
+    if spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
         spec = replace(spec, lam=0.0)
     config = replace(point_config(spec, seed, op, y),
                      algorithm=args.algorithm.replace("-", "_"),
@@ -139,7 +128,7 @@ def cmd_run(args) -> int:
         "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
         "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa, "m": op.m,
         "operator": args.operator, "eta": spec.eta, "lambda": config.lam,
-        "damping_frac": spec.damping_frac if estimated else None,
+        "damping_frac": spec.damping_frac if spec.lam == "auto" else None,
         "alpha": spec.alpha, "init": args.init, "sigma": spec.sigma, "seed": seed,
         "target": spec.target_rel_err, "patience": spec.patience,
         "improve_tol": spec.improve_tol, "max_iters": spec.max_iters,
@@ -174,12 +163,12 @@ def _sweep_spec_from_config(raw: dict, **fields) -> SweepSpec:
         return (preset_spec(raw["preset"], **kwargs) if "preset" in raw
                 else SweepSpec(**kwargs))
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad sweep configuration: {exc}") from exc
+        raise ValueError(f"bad sweep configuration: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
     if (args.preset is None) == (args.config is None):
-        raise CliError("pass exactly one of --preset or --config")
+        raise ValueError("pass exactly one of --preset or --config")
     fields = _spec_fields(args)
     spec = (preset_spec(args.preset, **fields) if args.preset
             else _sweep_spec_from_config(_parse_kv_file(args.config), **fields))
@@ -198,7 +187,7 @@ def cmd_sweep(args) -> int:
 def cmd_rip(args) -> int:
     op = gaussian_operator(args.n, args.m, args.seed)
     est = estimate_rip_constant(op, args.rank, args.trials, derive_seed(args.seed, 99))
-    print(f"rank={est.rank} trials={est.trials} delta_hat={est.delta_hat:.6f} "
+    print(f"rank={args.rank} trials={args.trials} delta_hat={est.delta_hat:.6f} "
           f"min_ratio={est.min_ratio:.6f} max_ratio={est.max_ratio:.6f}")
     print("note: delta_hat is a sampled lower bound on the true constant")
     return 0
@@ -249,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                    + ", ".join(sorted(PRESETS)))
     p.add_argument("--operator", choices=("gaussian", "identity"),
                    default="gaussian", help="sensing operator (default gaussian)")
-    p.add_argument("--lambda-auto", type=int, metavar="RANK_GUESS",
-                   help=f"estimate damping at damping_frac ({DAMPING_FRAC} unless "
-                        "a preset sets it) of the RANK_GUESS-th eigenvalue of A*(y)")
     p.add_argument("--init", choices=("small-random", "spectral"),
                    default="small-random", help="initialization (default small-random)")
     for flag, dest, text in _RUN_SETTINGS:
@@ -286,7 +272,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but a runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures (I/O, divergence, ...)

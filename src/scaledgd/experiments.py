@@ -10,7 +10,7 @@ never perturbs existing ones.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +68,12 @@ class SweepSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", vals)
+        if self.axis == "rank_r" and not all(float(v).is_integer() for v in vals):
+            raise ValueError(f"rank_r values must be integers, got {vals}")
+        if self.axis == "alpha":  # it measures final errors, so patience alone stops
+            if self.patience is None:
+                raise ValueError("alpha sweep uses the patience (early stopping) rule")
+            object.__setattr__(self, "target_rel_err", None)
         if self.target_rel_err is None and self.patience is None:
             raise ValueError("enable a stopping rule (target_rel_err or patience)")
         if self.trials < 1:
@@ -91,8 +97,6 @@ class ExperimentRecord:
     final_rel_err_op: float
     stop_reason: str
     wall_ms: float
-    # a "diverged" row keeps the TrajectoryRecords made before the divergence
-    partial_records: tuple = field(default=(), repr=False, compare=False)
 
 
 def minimax_reference(sigma: float, n: int, r_star: int) -> float:
@@ -163,19 +167,14 @@ def preset_spec(name: str, **overrides) -> SweepSpec:
 
 
 def _row(spec, axis_value, trial, config, traj: Trajectory) -> ExperimentRecord:
-    """One run's sweep row.  A run that diverged gives a "diverged" row with
-    NaN errors and its partial records.  wall_ms runs from the start of the
-    point's batch to the run's stop."""
-    ms = traj.final_state.elapsed_ns / 1e6
-    if traj.stop_reason == "diverged":
-        return ExperimentRecord(spec.axis, float(axis_value), trial, config.algorithm,
-                                SENTINEL_ITERS, np.nan, np.nan, "diverged", ms,
-                                partial_records=traj.records)
-    last = traj.records[-1]
+    """One run's sweep row; a run that diverged has NaN errors.  wall_ms runs
+    from the start of the point's batch to the run's stop."""
+    errs = ((np.nan, np.nan) if traj.stop_reason == "diverged"
+            else (traj.records[-1].rel_err_fro, traj.records[-1].rel_err_op))
     iters = traj.final_state.t if traj.stop_reason == "target_reached" else SENTINEL_ITERS
     return ExperimentRecord(spec.axis, float(axis_value), trial, config.algorithm,
-                            iters, last.rel_err_fro, last.rel_err_op,
-                            traj.stop_reason, ms)
+                            iters, *errs, traj.stop_reason,
+                            traj.final_state.elapsed_ns / 1e6)
 
 
 def point_instance(spec: SweepSpec, seed: int, op=None):
@@ -193,12 +192,11 @@ def point_config(spec: SweepSpec, seed: int, op, y) -> SolverConfig:
     """ScaledGD(lambda)'s SolverConfig at one point, for the sweeps and
     `scaledgd run`.  lambda is estimated at spec.damping_frac of the r*-th
     eigenvalue of A*(y) when spec.lam is "auto"; the init seed is derived
-    from `seed`.  The alpha axis stops on patience alone."""
+    from `seed`."""
     lam = (estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
            if spec.lam == "auto" else float(spec.lam))
-    stop = StoppingRule(
-        target_rel_err=None if spec.axis == "alpha" else spec.target_rel_err,
-        patience=spec.patience, improve_tol=spec.improve_tol)
+    stop = StoppingRule(target_rel_err=spec.target_rel_err, patience=spec.patience,
+                        improve_tol=spec.improve_tol)
     return SolverConfig(algorithm="scaled_gd_lambda", r=spec.r, eta=spec.eta,
                         lam=lam, alpha=spec.alpha, max_iters=spec.max_iters, stop=stop,
                         seed_init=derive_seed(seed, TAG_INIT),
@@ -241,8 +239,6 @@ def _gd_rank_key(rec: ExperimentRecord):
 def _sweep(spec: SweepSpec, axis: str) -> list[ExperimentRecord]:
     if spec.axis != axis:
         raise ValueError(f"axis must be {axis!r}")
-    if axis == "alpha" and spec.patience is None:
-        raise ValueError("alpha sweep uses the patience (early stopping) rule")
     return [rec for ai, value in enumerate(spec.values)
             for trial in range(spec.trials)
             for rec in _run_point(spec, ai, trial, value)]

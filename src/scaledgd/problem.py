@@ -27,7 +27,6 @@ class GroundTruth:
     r_star: int
     u_star: np.ndarray        # n x r_star, orthonormal columns
     sigma_star: np.ndarray    # length r_star, non-increasing, positive
-    seed: int
 
     @property
     def x_star(self) -> np.ndarray:
@@ -95,8 +94,7 @@ def make_ground_truth(n: int, r_star: int, kappa: float, seed: int) -> GroundTru
     signs[signs == 0] = 1.0
     u_star = q * signs
     sigma_star = np.linspace(1.0, 1.0 / float(kappa), r_star)
-    return GroundTruth(n=n, r_star=r_star, u_star=u_star,
-                       sigma_star=sigma_star, seed=seed)
+    return GroundTruth(n=n, r_star=r_star, u_star=u_star, sigma_star=sigma_star)
 
 
 def dense_m_star(truth) -> np.ndarray:

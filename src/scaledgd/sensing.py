@@ -204,8 +204,6 @@ class RipEstimate:
     is a sanity probe, not a certificate.
     """
 
-    rank: int
-    trials: int
     delta_hat: float
     min_ratio: float
     max_ratio: float
@@ -241,5 +239,4 @@ def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
         min_ratio = min(min_ratio, *ratios)
         max_ratio = max(max_ratio, *ratios)
     delta_hat = max(1.0 - min_ratio, max_ratio - 1.0, 0.0)
-    return RipEstimate(rank=rank, trials=trials, delta_hat=delta_hat,
-                       min_ratio=min_ratio, max_ratio=max_ratio)
+    return RipEstimate(delta_hat=delta_hat, min_ratio=min_ratio, max_ratio=max_ratio)

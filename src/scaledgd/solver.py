@@ -48,9 +48,9 @@ class PreconditionerError(np.linalg.LinAlgError):
 
 
 class DivergenceError(RuntimeError):
-    """The loss blew up at iteration t.  trajectory is the run up to it (stop
-    reason "diverged", final_state the iterate that blew up); records holds
-    the TrajectoryRecords made before it."""
+    """The loss blew up.  trajectory is the run up to it: stop reason
+    "diverged", the TrajectoryRecords made before it, and final_state the
+    iterate that blew up."""
 
     def __init__(self, trajectory: "Trajectory"):
         final = trajectory.final_state
@@ -58,8 +58,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
                          f"initial loss {loss0:.3e} at iteration {final.t}")
         self.trajectory = trajectory
-        self.records = trajectory.records
-        self.t = final.t
 
 
 @dataclass(frozen=True)

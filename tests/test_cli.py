@@ -63,15 +63,8 @@ def test_run_reproducible(tmp_path):
         assert row_a[:-1] == row_b[:-1]
 
 
-def test_run_lambda_flags_conflict(tmp_path, capsys):
-    rc = main(["run", "--n", "10", "--r-star", "2", "--lambda", "0.1",
-               "--lambda-auto", "2", "--patience", "20",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "not both" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("extra", [[], ["--lambda-auto", "2"]])
+# by default and with --lambda auto, a run estimates lambda at r* as a sweep does
+@pytest.mark.parametrize("extra", [[], ["--lambda", "auto"]])
 def test_run_estimates_lambda_with_sweep_fraction(tmp_path, extra):
     out = str(tmp_path / "t.csv")
     assert main(["run", "--n", "15", "--r-star", "2", "--r", "3", "--kappa", "3",
@@ -135,6 +128,18 @@ def test_run_preset_resolves_from_sweep_presets(tmp_path, preset):
                        ("target", "target_rel_err"), ("patience", "patience"),
                        ("max_iters", "max_iters"), ("damping_frac", "damping_frac")):
         assert meta[key] == str(getattr(spec, field)), key
+
+
+def test_run_fig_alpha_preset_keeps_target(tmp_path, capsys):
+    # the alpha axis drops its target, but a run is a kappa point: with the
+    # fig-alpha preset, --target still stops it
+    out = str(tmp_path / "t.csv")
+    assert main(["run", "--preset", "fig-alpha", "--operator", "identity",
+                 "--n", "12", "--r-star", "2", "--r", "3", "--target", "1e-6",
+                 "--out", out]) == 0
+    assert "stop=target_reached" in capsys.readouterr().out
+    meta = _read_meta(out + ".meta")
+    assert meta["target"] == "1e-06" and meta["stop_reason"] == "target_reached"
 
 
 def test_run_default_settings_pinned(tmp_path):
@@ -275,6 +280,28 @@ def test_sweep_sidecar_reruns_as_config(tmp_path, config):
     assert main(["sweep", "--config", first + ".meta", "--out", second]) == 0
     assert _without_wall_ms(_read_csv(first)) == _without_wall_ms(_read_csv(second))
     assert _read_meta(second + ".meta") == meta
+
+
+def test_alpha_sweep_sidecar_has_no_target(tmp_path):
+    # an alpha sweep stops on patience alone, and its sidecar says so also
+    # when its config leaves the target at SweepSpec's default
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("axis = alpha\nvalues = 1e-10,1e-6\nn = 12\nr_star = 2\nr = 3\n"
+                   "patience = 30\nmax_iters = 300\ntrials = 1\n")
+    out = str(tmp_path / "a.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
+    assert _read_meta(out + ".meta")["spec.target_rel_err"] == "none"
+    reasons = [row[SWEEP_COLUMNS.index("stop_reason")] for row in _read_csv(out)[1:]]
+    assert reasons and set(reasons) <= {"patience", "max_iters"}
+
+
+def test_sweep_rejects_fractional_rank(tmp_path, capsys):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text("axis = rank_r\nvalues = 2.5,4\nn = 12\nr_star = 2\ntrials = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "rank_r values must be integers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_flag_conflicts(tmp_path, capsys):
@@ -468,6 +495,7 @@ def test_readme_cli_lines_parse(argv):
     ["run", "--instance", "i.meta", "--out", "x"],
     ["run", "--checkpoints", "c.npz", "--out", "x"],
     ["run", "--backend", "streamed", "--out", "x"],
+    ["run", "--lambda-auto", "2", "--out", "x"],
     ["rip", "--backend", "streamed", "--n", "10", "--m", "400", "--rank", "2"],
     ["rip", "--operator", "identity", "--n", "10", "--m", "400", "--rank", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))

@@ -47,13 +47,13 @@ def test_validation():
 
 def test_dense_m_star_axis_aligned():
     gt = GroundTruth(n=2, r_star=1, u_star=np.array([[1.0], [0.0]]),
-                     sigma_star=np.array([2.0]), seed=0)
+                     sigma_star=np.array([2.0]))
     assert np.allclose(dense_m_star(gt), [[4.0, 0.0], [0.0, 0.0]])
 
 
 def test_dense_m_star_rotated():
     u = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    gt = GroundTruth(n=2, r_star=1, u_star=u, sigma_star=np.array([1.0]), seed=0)
+    gt = GroundTruth(n=2, r_star=1, u_star=u, sigma_star=np.array([1.0]))
     assert np.allclose(dense_m_star(gt), [[0.5, 0.5], [0.5, 0.5]])
 
 

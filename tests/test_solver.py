@@ -298,10 +298,12 @@ def test_divergence_guard():
     with pytest.raises(DivergenceError) as info:
         run(op, y, cfg, oracle=gt)
     # the records made before the divergence survive it
-    records = info.value.records
+    traj = info.value.trajectory
+    assert traj.stop_reason == "diverged"
+    records = traj.records
     assert records
     ts = [rec.t for rec in records]
-    assert ts == sorted(set(ts)) and ts[-1] < info.value.t
+    assert ts == sorted(set(ts)) and ts[-1] < traj.final_state.t
     for rec in records:
         assert np.isfinite(rec.loss) and np.isfinite(rec.rel_err_fro)
         assert np.isfinite(rec.rel_err_op)
@@ -371,7 +373,7 @@ def test_run_batch_keeps_diverged_run_and_the_others():
     assert diverged.records and diverged.final_state.t > diverged.records[-1].t
     with pytest.raises(DivergenceError) as info:
         run(op, y, configs[1], oracle=gt)
-    assert info.value.t == diverged.final_state.t
+    assert info.value.trajectory.final_state.t == diverged.final_state.t
     for config, traj in zip(configs, batched):
         _assert_same_run(traj, _alone(op, y, config, gt), gt.spectral_norm_m())
 
