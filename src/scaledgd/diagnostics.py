@@ -9,7 +9,7 @@ where S = U*^T X has thin SVD U Sigma V^T, S~ = S V (signal), N~ = (U*perp^T X) 
 (misalignment) and O~ = (U*perp^T X) Vperp (surplus-rank component).  The scalar
 metrics derived from the blocks track which phase of the run the iterate is in.
 V's column signs are whatever the SVD returns: neither the metrics nor the
-reassembled X depend on them.
+reassembled X depend on them.  Each function also takes a stack of iterates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import orthonormal_complement, spectral_norm
+from .linalg import orthonormal_complement
 from .problem import ApproxTruth, GroundTruth, dense_m_star
 
 
@@ -33,10 +33,10 @@ class IterateDecomposition:
     u_perp: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        x = self.u_star @ self.s_tilde @ self.v.T
-        x = x + self.u_perp @ self.n_tilde @ self.v.T
-        if self.o_tilde.shape[1]:
-            x = x + self.u_perp @ self.o_tilde @ self.v_perp.T
+        x = self.u_star @ self.s_tilde @ _t(self.v)
+        x = x + self.u_perp @ self.n_tilde @ _t(self.v)
+        if self.o_tilde.shape[-1]:
+            x = x + self.u_perp @ self.o_tilde @ _t(self.v_perp)
         return x
 
 
@@ -48,6 +48,11 @@ class PhaseMetrics:
     overparam_norm: float     # ||O~||
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
                       u_perp: np.ndarray | None = None) -> IterateDecomposition:
     """Split an iterate into signal / misalignment / overparameterization blocks.
@@ -55,55 +60,60 @@ def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
     u_perp, when given, must be orthonormal_complement(gt.u_star); a caller
     that decomposes many iterates of one truth computes it once.
     """
-    n, r = x.shape
-    r_star = gt.r_star
     u_star = gt.u_star
     if u_perp is None:
         u_perp = orthonormal_complement(u_star)
     s = u_star.T @ x                       # r* x r
     n_blk = u_perp.T @ x                   # (n - r*) x r
-    v = np.linalg.svd(s, full_matrices=False)[2].T  # r x r*
-    v_perp = orthonormal_complement(v) if r > r_star else np.empty((r, 0))
+    v = _t(np.linalg.svd(s, full_matrices=False)[2])  # r x r*
+    v_perp = orthonormal_complement(v)     # r x (r - r*)
     return IterateDecomposition(
-        s_tilde=s @ v, n_tilde=n_blk @ v,
-        o_tilde=n_blk @ v_perp if r > r_star else np.empty((n - r_star, 0)),
+        s_tilde=s @ v, n_tilde=n_blk @ v, o_tilde=n_blk @ v_perp,
         v=v, v_perp=v_perp, u_star=u_star, u_perp=u_perp)
 
 
 def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
-                  lam: float) -> PhaseMetrics:
+                  lam: float) -> PhaseMetrics | list[PhaseMetrics]:
+    """The PhaseMetrics of a decomposition, or a list of them for a stacked
+    one.  A singular S~ is swapped for the identity before the solve, which
+    would raise on it, and gets an infinite misalign."""
     sigma = gt.sigma_star
     s_tilde = dec.s_tilde
-    scaled = (s_tilde.T / np.sqrt(sigma**2 + lam)).T
-    sigma_min_scaled = float(np.linalg.svd(scaled, compute_uv=False)[-1])
+    scaled = s_tilde / np.sqrt(sigma**2 + lam)[:, None]
+    sigma_min_scaled = np.linalg.svd(scaled, compute_uv=False)[..., -1]
 
     sv = np.linalg.svd(s_tilde, compute_uv=False)
-    if sv[-1] <= sv[0] * np.finfo(float).eps * max(s_tilde.shape) or sv[-1] == 0.0:
-        misalign = np.inf
-    else:
-        z = np.linalg.solve(s_tilde.T, dec.n_tilde.T).T  # N~ S~^{-1}
-        misalign = float(np.linalg.norm(z * sigma, 2))
+    singular = ((sv[..., -1] <= sv[..., 0] * np.finfo(float).eps * max(s_tilde.shape[-2:]))
+                | (sv[..., -1] == 0.0))
+    safe = np.where(singular[..., None, None], np.eye(*s_tilde.shape[-2:]), s_tilde)
+    z = _t(np.linalg.solve(_t(safe), _t(dec.n_tilde)))  # N~ S~^{-1}
+    misalign = np.where(singular, np.inf, np.linalg.norm(z * sigma, 2, axis=(-2, -1)))
 
-    gram_err = (s_tilde @ s_tilde.T - np.diag(sigma**2))
+    gram_err = (s_tilde @ _t(s_tilde) - np.diag(sigma**2))
     gamma = gram_err / sigma[:, None] / sigma[None, :]
-    gamma_norm = float(np.linalg.norm(gamma, 2))
-    overparam_norm = float(np.linalg.norm(dec.o_tilde, 2)) if dec.o_tilde.size else 0.0
-    return PhaseMetrics(sigma_min_scaled=sigma_min_scaled, misalign=misalign,
-                        gamma_norm=gamma_norm, overparam_norm=overparam_norm)
+    gamma_norm = np.linalg.norm(gamma, 2, axis=(-2, -1))
+    overparam_norm = (np.linalg.norm(dec.o_tilde, 2, axis=(-2, -1)) if dec.o_tilde.size
+                      else np.zeros(s_tilde.shape[:-2]))
+    cols = (sigma_min_scaled, misalign, gamma_norm, overparam_norm)
+    rows = [PhaseMetrics(*row) for row in zip(*(np.ravel(col).tolist() for col in cols))]
+    return rows[0] if s_tilde.ndim == 2 else rows
 
 
-def rel_err_op(x: np.ndarray, truth) -> float:
-    """||X X^T - M*|| / ||M*||.
+def rel_err_op(x: np.ndarray, truth) -> float | np.ndarray:
+    """||X X^T - M*|| / ||M*||, or the array of them for a stack of iterates.
 
-    For a GroundTruth, X X^T - M* lives in span[U*, X].  The QR factors of
-    [U*, X] give it as Q (C C^T - D D^T) Q^T with C = Q^T X and
+    For a GroundTruth, X X^T - M* lives in span[U*, X].  The R factor of
+    [U*, X] gives it as Q (C C^T - D D^T) Q^T with C = Q^T X and
     D = Q^T U* diag(sigma*), the columns of R, so the spectral norm is the
     largest |eigenvalue| of an (r* + r)-sized matrix.  An ApproxTruth has a
     full-rank tail and takes the dense n x n path."""
-    norm_m = truth.spectral_norm_m()
     if isinstance(truth, ApproxTruth):
-        return spectral_norm(x @ x.T - dense_m_star(truth))[0] / norm_m
-    _, tri = np.linalg.qr(np.hstack([truth.u_star, x]))
-    c = tri[:, truth.r_star:]
-    d = tri[:, :truth.r_star] * truth.sigma_star
-    return float(np.abs(np.linalg.eigvalsh(c @ c.T - d @ d.T)).max()) / norm_m
+        resid = x @ _t(x) - dense_m_star(truth)
+    else:
+        u_star = np.broadcast_to(truth.u_star, x.shape[:-1] + (truth.r_star,))
+        tri = np.linalg.qr(np.concatenate([u_star, x], axis=-1), mode="r")
+        c = tri[..., truth.r_star:]
+        d = tri[..., :truth.r_star] * truth.sigma_star
+        resid = c @ _t(c) - d @ _t(d)
+    err = np.abs(np.linalg.eigvalsh(resid)).max(axis=-1) / truth.spectral_norm_m()
+    return float(err) if x.ndim == 2 else err

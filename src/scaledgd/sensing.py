@@ -51,7 +51,8 @@ class SensingOperator:
     """Linear map from symmetric n x n matrices to R^m.
 
     kind is one of 'gaussian_dense', 'identity'.
-    Instances are immutable after construction and safe for concurrent use.
+    Instances are immutable after construction and safe for concurrent use;
+    `storage` is made read-only.
     """
 
     def __init__(self, kind: str, n: int, m: int, seed: int = 0,
@@ -60,6 +61,8 @@ class SensingOperator:
         self.n = n
         self.m = m
         self.seed = seed
+        if storage is not None:
+            storage.flags.writeable = False
         self._storage = storage
         self._iu, self._scale = _svec_scale(n)
         self.dim = self._scale.size  # n(n+1)/2
@@ -144,7 +147,7 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
         raise MemoryCapError(
             f"dense Gaussian operator needs {nbytes / 2**30:.2f} GiB "
             f"(cap {MEMORY_CAP_BYTES / 2**30:.2f} GiB)")
-    op = SensingOperator("gaussian_dense", n, m, seed, np.empty((m, dim)))
+    storage = np.empty((m, dim))
     scale = 1.0 / np.sqrt(m)
     rows = max(1, _BLOCK_BYTES // (16 * ((dim + 1) // 2)))
     blocks = range(0, m, rows)
@@ -157,7 +160,7 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
             for start in starts:
                 stop = min(start + rows, m)
                 block = rng.normals_block(seed, range(start, stop), dim, gen)
-                np.multiply(block, scale, out=op._storage[start:stop])
+                np.multiply(block, scale, out=storage[start:stop])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -172,7 +175,7 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
         thread.join()
     if errors:
         raise errors[0]
-    return op
+    return SensingOperator("gaussian_dense", n, m, seed, storage)
 
 
 def identity_operator(n: int) -> SensingOperator:

@@ -35,6 +35,7 @@ DIVERGENCE_FACTOR = 1e6
 # it, and the rank_guess-th eigenvalue of A*(y) sits on the sensing noise
 # floor at m = 10 n r*.
 DAMPING_FRAC = 0.05
+_RECORD_CHUNK = 16  # queued records whose oracle metrics go in one stacked call
 
 
 class PreconditionerError(np.linalg.LinAlgError):
@@ -253,6 +254,7 @@ class _Run:
             self.m_star, self.norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
         self.damping = _DAMPING[config.algorithm]
         self.records = []
+        self.queue = []  # (t, loss, rel_err_fro, elapsed_ms, x) of unmade records
         self.loss0 = None
         self.best_loss = np.inf
         self.best_t = 0
@@ -271,7 +273,7 @@ class _Run:
             self._finish("diverged", t, cur_loss, start)
             return
 
-        rel_fro = rel_op = None
+        rel_fro = None
         if oracle is not None:
             rel_fro = float(np.linalg.norm(x @ x.T - self.m_star)) / self.norm_m
 
@@ -288,16 +290,10 @@ class _Run:
             stop_reason = "max_iters"
 
         if t % config.record_every == 0 or stop_reason is not None:
-            metrics = None
-            if oracle is not None:
-                rel_op = rel_err_op(x, oracle)
-            if self.u_perp is not None:
-                metrics = phase_metrics(decompose_iterate(x, oracle, u_perp=self.u_perp),
-                                        oracle, config.lam)
-            self.records.append(TrajectoryRecord(
-                t=t, loss=cur_loss, rel_err_fro=rel_fro, rel_err_op=rel_op,
-                metrics=metrics,
-                elapsed_ms=(time.perf_counter_ns() - start) / 1e6))
+            self.queue.append((t, cur_loss, rel_fro,
+                               (time.perf_counter_ns() - start) / 1e6, x))
+            if len(self.queue) == _RECORD_CHUNK:
+                self._flush()
         if stop_reason is not None:
             self._finish(stop_reason, t, cur_loss, start)
             return
@@ -311,7 +307,22 @@ class _Run:
             except PreconditionerError:
                 self._finish("preconditioner_singular", t, cur_loss, start)
 
+    def _flush(self):
+        """Make the queued records, with one stacked call per oracle metric."""
+        rel_ops = metrics = [None] * len(self.queue)
+        if self.oracle is not None and self.queue:
+            xs = np.stack([entry[-1] for entry in self.queue])
+            rel_ops = rel_err_op(xs, self.oracle).tolist()
+            if self.u_perp is not None:
+                metrics = phase_metrics(decompose_iterate(xs, self.oracle, u_perp=self.u_perp),
+                                        self.oracle, self.config.lam)
+        self.records += [TrajectoryRecord(t, loss, rel_fro, rel_op, rec_metrics, elapsed_ms)
+                         for (t, loss, rel_fro, elapsed_ms, _), rel_op, rec_metrics
+                         in zip(self.queue, rel_ops, metrics)]
+        self.queue = []
+
     def _finish(self, stop_reason, t, cur_loss, start):
+        self._flush()
         final = IterateState(x=self.x, t=t, loss=cur_loss,
                              elapsed_ns=time.perf_counter_ns() - start)
         self.trajectory = Trajectory(records=tuple(self.records),
@@ -354,12 +365,12 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
         oracle=None, collect_diagnostics: bool = False) -> Trajectory:
     """Iterate the configured algorithm and return the trajectory.
 
-    When an oracle (GroundTruth or ApproxTruth) is supplied, per-iteration
-    relative errors against M* are recorded and the target stopping rule is
-    active.  Records are made every record_every iterations and at the stop.
-    Diagnostics (phase metrics) are computed only at record points and only
-    on request; they need a GroundTruth oracle.  A loss that blows up raises
-    DivergenceError carrying the records made so far, and a singular
+    When an oracle (GroundTruth or ApproxTruth) is supplied, relative errors
+    against M* are recorded and the target stopping rule is active.  Records
+    are made every record_every iterations and at the stop; their rel_err_op
+    and, on request, phase metrics (these need a GroundTruth oracle) are
+    computed for a stack of queued records at once.  A loss that blows up
+    raises DivergenceError carrying the records made so far, and a singular
     preconditioner raises PreconditionerError carrying them.  This is
     run_batch with one configuration.
     """

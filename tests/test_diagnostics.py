@@ -6,7 +6,8 @@ import pytest
 
 from scaledgd.diagnostics import decompose_iterate, phase_metrics, rel_err_op
 from scaledgd.linalg import orthonormal_complement, spectral_norm
-from scaledgd.problem import dense_m_star, make_approx_truth, make_ground_truth
+from scaledgd.problem import (GroundTruth, dense_m_star, make_approx_truth,
+                              make_ground_truth)
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import SolverConfig, StoppingRule, run
 
@@ -248,3 +249,30 @@ def test_decompose_with_precomputed_complement_is_identical():
         a = phase_metrics(decompose_iterate(x, gt), gt, 0.05)
         b = phase_metrics(decompose_iterate(x, gt, u_perp=u_perp), gt, 0.05)
         assert a == b
+
+
+def test_stacked_diagnostics_match_one_iterate_at_a_time():
+    # a stack of five iterates; in the third, U*^T X has rank 1 of r* = 3.
+    # With U* the first three axes, U*^T X is X's first three rows exactly
+    gen = np.random.default_rng(40)
+    gt = GroundTruth(n=12, r_star=3, u_star=np.eye(12)[:, :3],
+                     sigma_star=np.array([1.0, 0.6, 0.25]))
+    xs = gen.normal(size=(5, 12, 5))
+    xs[2, 1:3] = 0.0
+    u_perp = orthonormal_complement(gt.u_star)
+    stacked_dec = decompose_iterate(xs, gt, u_perp=u_perp)
+    stacked = phase_metrics(stacked_dec, gt, 0.05)
+    assert [np.isinf(m.misalign) for m in stacked] == [False, False, True, False, False]
+    for i, x in enumerate(xs):
+        dec = decompose_iterate(x, gt, u_perp=u_perp)
+        for name in ("s_tilde", "n_tilde", "o_tilde", "v", "v_perp"):
+            assert np.array_equal(getattr(stacked_dec, name)[i], getattr(dec, name))
+        want = phase_metrics(dec, gt, 0.05)
+        assert stacked[i] == want
+    approx = make_approx_truth(12, 3, 4.0, 0.5, seed=41)
+    for truth in (gt, approx):
+        assert rel_err_op(xs, truth).tolist() == [rel_err_op(x, truth) for x in xs]
+    frames = np.linalg.qr(xs)[0]
+    stacked_comp = orthonormal_complement(frames)
+    for frame, comp in zip(frames, stacked_comp):
+        assert np.array_equal(comp, orthonormal_complement(frame))

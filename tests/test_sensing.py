@@ -6,7 +6,7 @@ import pytest
 
 from scaledgd import rng, sensing
 from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
-from scaledgd.sensing import (MemoryCapError, estimate_rip_constant,
+from scaledgd.sensing import (MemoryCapError, SensingOperator, estimate_rip_constant,
                               gaussian_operator, identity_operator, measure)
 
 
@@ -189,11 +189,23 @@ def test_blocked_build_thread_bound(monkeypatch, cpus, cap, most):
 
 def test_forward_trace_example():
     # single hand-built A_1 = I_2 in svec coordinates
-    op = gaussian_operator(2, 1, seed=0)
-    op._storage[0] = op.svec(np.eye(2))
+    a1 = identity_operator(2).svec(np.eye(2))
+    op = SensingOperator("gaussian_dense", 2, 1, storage=a1[None])
     y = op.apply_forward(np.diag([1.0, 2.0]))
     assert y == pytest.approx([3.0])
     assert np.array_equal(op.apply_forward(np.zeros((2, 2))), [0.0])
+
+
+def test_built_operator_is_read_only():
+    # writing into a built operator, or into the storage a hand-made one was
+    # given, raises
+    op = gaussian_operator(3, 4, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        op._storage[0] = 0.0
+    storage = np.zeros((1, 3))
+    SensingOperator("gaussian_dense", 2, 1, storage=storage)
+    with pytest.raises(ValueError, match="read-only"):
+        storage[0, 0] = 1.0
 
 
 def test_forward_linearity():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scaledgd import solver
 from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import (DivergenceError, PreconditionerError, SolverConfig,
@@ -401,6 +402,90 @@ def test_run_batch_keeps_going_past_a_singular_preconditioner():
         run(op, y, singular, oracle=gt)
     assert info.value.trajectory.stop_reason == "preconditioner_singular"
     assert [r.loss for r in info.value.trajectory.records] == [stopped.records[0].loss]
+
+
+def _unchunked(traj):
+    # a trajectory bar its timings; records compare field by field, and a
+    # float equals another only if its bits do (no NaN is recorded here)
+    return (traj.stop_reason, traj.final_state.t, traj.final_state.x.tobytes(),
+            [replace(rec, elapsed_ms=0.0) for rec in traj.records])
+
+
+def _assert_chunks_change_nothing(monkeypatch, make_batch):
+    """make_batch() gives the same trajectories with its records' oracle
+    metrics computed in chunks of the default size and one record at a time."""
+    chunked = [_unchunked(traj) for traj in make_batch()]
+    monkeypatch.setattr(solver, "_RECORD_CHUNK", 1)
+    assert [_unchunked(traj) for traj in make_batch()] == chunked
+    return chunked
+
+
+def _kappa4_instance():
+    gt = make_ground_truth(20, 2, 4, seed=3)
+    op = gaussian_operator(20, 400, seed=4)
+    y = measure(op, gt).y
+    lam = estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
+    base = SolverConfig(algorithm="scaled_gd_lambda", r=4, eta=0.3, lam=lam,
+                        alpha=1e-27, max_iters=400,
+                        stop=StoppingRule(target_rel_err=1e-9), seed_init=5)
+    return gt, op, y, base
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_chunked_records_equal_records_one_at_a_time(monkeypatch, record_every):
+    # 157 records at record_every = 1 span ten chunks; 24 at 7 span two
+    gt, op, y, base = _kappa4_instance()
+    config = replace(base, record_every=record_every)
+    ((_, _, _, records),) = _assert_chunks_change_nothing(
+        monkeypatch, lambda: [run(op, y, config, oracle=gt, collect_diagnostics=True)])
+    assert len(records) == {1: 157, 7: 24}[record_every]
+
+
+def test_chunked_records_in_a_batch_whose_runs_stop_apart(monkeypatch):
+    # ScaledGD(lambda) stops at 156 and GD at 400 and 2 (diverged)
+    gt, op, y, base = _kappa4_instance()
+    configs = [base, replace(base, algorithm="gd", lam=0.0),
+               replace(base, algorithm="gd", lam=0.0, eta=50.0, alpha=0.5)]
+    trajs = _assert_chunks_change_nothing(
+        monkeypatch, lambda: run_batch(op, y, configs, oracle=gt, collect_diagnostics=True))
+    assert [(reason, t) for reason, t, _, _ in trajs] == \
+        [("target_reached", 156), ("max_iters", 400), ("diverged", 2)]
+
+
+def test_diverged_run_flushes_its_queued_records(monkeypatch):
+    # GD at eta = 2 blows up at iteration 74: four chunks of 16 records, and
+    # the ten still queued are made at the stop
+    gt = make_ground_truth(10, 2, 2, seed=6)
+    op = gaussian_operator(10, 200, seed=7)
+    y = measure(op, gt).y
+    config = SolverConfig(algorithm="gd", r=3, eta=2.0, alpha=0.5, max_iters=150,
+                          stop=StoppingRule(target_rel_err=1e-9), seed_init=8)
+    ((reason, t, _, records),) = _assert_chunks_change_nothing(
+        monkeypatch, lambda: run_batch(op, y, [config], oracle=gt, collect_diagnostics=True))
+    assert (reason, t) == ("diverged", 74)
+    assert [rec.t for rec in records] == list(range(74))
+
+
+def test_singular_preconditioner_flushes_its_queued_records(monkeypatch):
+    # the preconditioner of the 61st step (iteration 60) fails: one chunk of
+    # 16 records, and the five still queued are made at the stop
+    gt, op, y, base = _kappa4_instance()
+    config = replace(base, record_every=3)
+    solve = solver._solve_preconditioner
+
+    def make_batch():
+        steps = iter(range(61))
+
+        def failing(x, grad, lam):
+            if next(steps) == 60:
+                raise PreconditionerError("singular")
+            return solve(x, grad, lam)
+        monkeypatch.setattr(solver, "_solve_preconditioner", failing)
+        return run_batch(op, y, [config], oracle=gt, collect_diagnostics=True)
+
+    ((reason, t, _, records),) = _assert_chunks_change_nothing(monkeypatch, make_batch)
+    assert (reason, t) == ("preconditioner_singular", 60)
+    assert [rec.t for rec in records] == list(range(0, 60, 3)) + [60]
 
 
 def test_preconditioner_singularity():
