@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import orthonormal_complement
-from .problem import ApproxTruth, GroundTruth, dense_m_star
+from .problem import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,19 @@ def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
     return rows[0] if s_tilde.ndim == 2 else rows
 
 
-def rel_err_op(x: np.ndarray, truth) -> float | np.ndarray:
+def rel_err_op(x: np.ndarray, truth: GroundTruth) -> float | np.ndarray:
     """||X X^T - M*|| / ||M*||, or the array of them for a stack of iterates.
 
-    For a GroundTruth, X X^T - M* lives in span[U*, X].  The R factor of
-    [U*, X] gives it as Q (C C^T - D D^T) Q^T with C = Q^T X and
-    D = Q^T U* diag(sigma*), the columns of R, so the spectral norm is the
-    largest |eigenvalue| of an (r* + r)-sized matrix.  An ApproxTruth has a
-    full-rank tail and takes the dense n x n path."""
-    if isinstance(truth, ApproxTruth):
-        resid = x @ _t(x) - dense_m_star(truth)
-    else:
-        u_star = np.broadcast_to(truth.u_star, x.shape[:-1] + (truth.r_star,))
-        tri = np.linalg.qr(np.concatenate([u_star, x], axis=-1), mode="r")
-        c = tri[..., truth.r_star:]
-        d = tri[..., :truth.r_star] * truth.sigma_star
-        resid = c @ _t(c) - d @ _t(d)
+    X X^T - M* lives in span[F, X], F the truth's k-column frame.  The R
+    factor of [F, X] gives it as Q (C C^T - D D^T) Q^T with C = Q^T X and
+    D = Q^T F diag(scales), the columns of R, so the spectral norm is the
+    largest |eigenvalue| of a matrix of size at most k + r (r* + r for an
+    exactly low-rank truth)."""
+    k = truth.scales.size
+    frame = np.broadcast_to(truth.frame, x.shape[:-1] + (k,))
+    tri = np.linalg.qr(np.concatenate([frame, x], axis=-1), mode="r")
+    c = tri[..., k:]
+    d = tri[..., :k] * truth.scales
+    resid = c @ _t(c) - d @ _t(d)
     err = np.abs(np.linalg.eigvalsh(resid)).max(axis=-1) / truth.spectral_norm_m()
     return float(err) if x.ndim == 2 else err

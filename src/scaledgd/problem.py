@@ -3,7 +3,9 @@
 The ground truth is a PSD matrix M* = X* X*^T with X* = U* diag(sigma*),
 U* a uniformly random orthonormal frame and sigma* a prescribed spectrum
 with condition number kappa.  The spectrum is normalized so that
-||X*|| = ||M*|| = 1, making relative errors comparable across kappa.
+||X*|| = ||M*|| = 1, making relative errors comparable across kappa.  An
+approximately low-rank truth adds a geometric PSD tail on the complement
+of U*.
 """
 
 from __future__ import annotations
@@ -21,41 +23,34 @@ _NOISE_STREAM = 0
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Planted rank-r_star factor X* = u_star * diag(sigma_star)."""
+    """M* = F diag(scales)^2 F^T: an orthonormal n x k frame F and
+    non-increasing scales.  Its first r_star columns and scales are the
+    planted factor X* = u_star * diag(sigma_star); an exactly low-rank truth
+    has k = r_star, an approximately low-rank one a tail after them."""
 
-    n: int
     r_star: int
-    u_star: np.ndarray        # n x r_star, orthonormal columns
-    sigma_star: np.ndarray    # length r_star, non-increasing, positive
+    frame: np.ndarray     # n x k, orthonormal columns
+    scales: np.ndarray    # length k, non-increasing; sigma_star positive
+
+    @property
+    def n(self) -> int:
+        return self.frame.shape[0]
+
+    @property
+    def u_star(self) -> np.ndarray:
+        return self.frame[:, :self.r_star]
+
+    @property
+    def sigma_star(self) -> np.ndarray:
+        return self.scales[:self.r_star]
 
     @property
     def x_star(self) -> np.ndarray:
         return self.u_star * self.sigma_star
 
     def spectral_norm_m(self) -> float:
-        """||M*|| = sigma_star[0]^2."""
-        return float(self.sigma_star[0] ** 2)
-
-
-@dataclass(frozen=True)
-class ApproxTruth:
-    """Approximately low-rank ground truth: best rank-r_star part plus a
-    PSD tail supported on the orthogonal complement of u_star."""
-
-    base: GroundTruth
-    tail_spectrum: np.ndarray  # length n - r_star, non-negative, non-increasing
-    tail_basis: np.ndarray     # n x (n - r_star), orthonormal completion of u_star
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def tail_spectral_norm(self) -> float:
-        return float(self.tail_spectrum[0]) if self.tail_spectrum.size else 0.0
-
-    def spectral_norm_m(self) -> float:
-        """||M*||: base and tail live on orthogonal subspaces, so the max."""
-        return max(self.base.spectral_norm_m(), self.tail_spectral_norm())
+        """||M*|| = scales[0]^2."""
+        return float(self.scales[0] ** 2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +65,6 @@ class NoiseModel:
             raise ValueError("noise sigma must be >= 0")
 
     def draw(self, m: int) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.zeros(m)
         return self.sigma * rng.normals(self.seed, _NOISE_STREAM, m)
 
 
@@ -94,33 +87,29 @@ def make_ground_truth(n: int, r_star: int, kappa: float, seed: int) -> GroundTru
     signs[signs == 0] = 1.0
     u_star = q * signs
     sigma_star = np.linspace(1.0, 1.0 / float(kappa), r_star)
-    return GroundTruth(n=n, r_star=r_star, u_star=u_star, sigma_star=sigma_star)
+    return GroundTruth(r_star=r_star, frame=u_star, scales=sigma_star)
 
 
-def dense_m_star(truth) -> np.ndarray:
-    """Dense M* for a GroundTruth or ApproxTruth (symmetric by construction)."""
-    if isinstance(truth, ApproxTruth):
-        gt = truth.base
-        m = (gt.u_star * gt.sigma_star**2) @ gt.u_star.T
-        m = m + (truth.tail_basis * truth.tail_spectrum) @ truth.tail_basis.T
-    else:
-        m = (truth.u_star * truth.sigma_star**2) @ truth.u_star.T
+def dense_m_star(truth: GroundTruth) -> np.ndarray:
+    """Dense M* (symmetric by construction)."""
+    m = (truth.frame * truth.scales**2) @ truth.frame.T
     return 0.5 * (m + m.T)
 
 
 def make_approx_truth(n: int, r_star: int, kappa: float, tail_decay: float,
-                      seed: int) -> ApproxTruth:
-    """Planted instance plus a geometric PSD tail.
+                      seed: int) -> GroundTruth:
+    """make_ground_truth's instance plus a geometric PSD tail on the
+    complement of u_star: frame [u_star | orthonormal_complement(u_star)].
 
-    Tail eigenvalues are sigma_star[-1]^2 * tail_decay^k for k = 1..n-r_star,
+    Tail eigenvalues are sigma_star[-1]^2 * tail_decay^j for j = 1..n-r_star,
     so the best rank-r_star approximation of the full matrix is exactly the
-    base part and the tail spectral norm is sigma_star[-1]^2 * tail_decay.
+    planted part and the tail spectral norm is sigma_star[-1]^2 * tail_decay.
     """
     if not 0.0 < tail_decay < 1.0:
         raise ValueError("tail_decay must lie in (0, 1)")
     base = make_ground_truth(n, r_star, kappa, seed)
-    sig_min_sq = float(base.sigma_star[-1] ** 2)
-    k = np.arange(1, n - r_star + 1, dtype=float)
-    tail_spectrum = sig_min_sq * tail_decay**k
-    tail_basis = orthonormal_complement(base.u_star)
-    return ApproxTruth(base=base, tail_spectrum=tail_spectrum, tail_basis=tail_basis)
+    j = np.arange(1, n - r_star + 1, dtype=float)
+    tail = base.sigma_star[-1] * np.sqrt(tail_decay**j)
+    return GroundTruth(r_star=r_star,
+                       frame=np.hstack([base.u_star, orthonormal_complement(base.u_star)]),
+                       scales=np.concatenate([base.sigma_star, tail]))

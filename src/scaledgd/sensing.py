@@ -41,30 +41,24 @@ class MemoryCapError(MemoryError):
     pass
 
 
-def _svec_scale(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    iu = np.triu_indices(n)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return iu, scale
-
-
 class SensingOperator:
     """Linear map from symmetric n x n matrices to R^m.
 
-    kind is one of 'gaussian_dense', 'identity'.
-    Instances are immutable after construction and safe for concurrent use;
-    `storage` is made read-only.
+    A dense operator's rows are `storage` (m x n(n+1)/2); without storage it
+    is the identity in svec coordinates.  Instances are immutable after
+    construction and safe for concurrent use; `storage` is made read-only.
     """
 
-    def __init__(self, kind: str, n: int, m: int, seed: int = 0,
+    def __init__(self, n: int, m: int, seed: int = 0,
                  storage: np.ndarray | None = None):
-        self.kind = kind
         self.n = n
         self.m = m
         self.seed = seed
         if storage is not None:
             storage.flags.writeable = False
         self._storage = storage
-        self._iu, self._scale = _svec_scale(n)
+        self._iu = np.triu_indices(n)
+        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, np.sqrt(2.0))
         self.dim = self._scale.size  # n(n+1)/2
 
     # -- svec coordinates ---------------------------------------------------
@@ -86,7 +80,7 @@ class SensingOperator:
 
     def row_svec(self, i: int) -> np.ndarray:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""
-        if self.kind == "identity":
+        if self._storage is None:
             raise ValueError("row_svec applies to a Gaussian operator, not the identity")
         return rng.normals(self.seed, i, self.dim) * (1.0 / np.sqrt(self.m))
 
@@ -99,7 +93,7 @@ class SensingOperator:
 
     def apply_forward(self, mat: np.ndarray) -> np.ndarray:
         v = self.svec(mat)
-        if self.kind == "identity":
+        if self._storage is None:
             return v
         return v @ self._storage.T
 
@@ -107,7 +101,7 @@ class SensingOperator:
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[-1] != self.m:
             raise ValueError(f"expected length-{self.m} vector, got {y.shape}")
-        if self.kind == "identity":
+        if self._storage is None:
             return self.unsvec(y)
         return self.unsvec(y @ self._storage)
 
@@ -175,12 +169,12 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
         thread.join()
     if errors:
         raise errors[0]
-    return SensingOperator("gaussian_dense", n, m, seed, storage)
+    return SensingOperator(n, m, seed, storage)
 
 
 def identity_operator(n: int) -> SensingOperator:
     """Exact isometry: forward is scaled svec, A*A is the identity."""
-    return SensingOperator("identity", n, n * (n + 1) // 2)
+    return SensingOperator(n, n * (n + 1) // 2)
 
 
 @dataclass(frozen=True)

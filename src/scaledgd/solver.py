@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from .diagnostics import decompose_iterate, phase_metrics, rel_err_op
 from .linalg import orthonormal_complement
-from .problem import GroundTruth, dense_m_star
+from .problem import dense_m_star
 from .sensing import SensingOperator
 
 ALGORITHMS = ("scaled_gd_lambda", "gd", "scaled_gd", "prec_gd")
@@ -245,6 +245,10 @@ class _Run:
     def __init__(self, op, y, config, oracle, collect_diagnostics):
         if config.stop.target_rel_err is not None and oracle is None:
             raise ValueError("target_rel_err stopping needs an oracle")
+        if collect_diagnostics and oracle is None:
+            raise ValueError("diagnostics need an oracle")
+        if collect_diagnostics and config.r < oracle.r_star:
+            raise ValueError(f"diagnostics need r >= r* = {oracle.r_star}, got r = {config.r}")
         self.x = _make_x0(op, y, config)
         if self.x.shape != (op.n, config.r):
             raise ValueError(f"x0 shape {self.x.shape} does not match (n, r)")
@@ -345,8 +349,6 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     reason "preconditioner_singular"; the others keep going.  elapsed_ms
     and elapsed_ns count from the batch's start.
     """
-    if collect_diagnostics and not isinstance(oracle, GroundTruth):
-        raise ValueError("diagnostics need a GroundTruth oracle")
     start = time.perf_counter_ns()
     runs = [_Run(op, y, config, oracle, collect_diagnostics)
             for config in configs]
@@ -365,11 +367,11 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
         oracle=None, collect_diagnostics: bool = False) -> Trajectory:
     """Iterate the configured algorithm and return the trajectory.
 
-    When an oracle (GroundTruth or ApproxTruth) is supplied, relative errors
-    against M* are recorded and the target stopping rule is active.  Records
-    are made every record_every iterations and at the stop; their rel_err_op
-    and, on request, phase metrics (these need a GroundTruth oracle) are
-    computed for a stack of queued records at once.  A loss that blows up
+    When an oracle (a GroundTruth) is supplied, relative errors against M*
+    are recorded and the target stopping rule is active.  Records are made
+    every record_every iterations and at the stop; their rel_err_op and, on
+    request, phase metrics (these need an oracle and r >= r*) are computed
+    for a stack of queued records at once.  A loss that blows up
     raises DivergenceError carrying the records made so far, and a singular
     preconditioner raises PreconditionerError carrying them.  This is
     run_batch with one configuration.

@@ -423,6 +423,16 @@ def test_run_diagnostics_records_phase_metrics(tmp_path, capsys):
     assert f"rel_err_fro={float(rows[-1][col['rel_err_fro']]):.3e}" in printed.split()
 
 
+def test_run_diagnostics_with_r_below_r_star_exits_2(tmp_path, capsys):
+    # the phase metrics need r >= r*: a flag error, found before the run, so
+    # no CSV or sidecar is written
+    out = tmp_path / "t.csv"
+    assert main(["run", "--n", "10", "--r-star", "2", "--r", "1", "--kappa", "2",
+                 "--patience", "20", "--diagnostics", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: diagnostics need r >= r* = 2, got r = 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _setting_flags():
     """(subcommand, flag, field) for each flag of `run` and `sweep` that sets
     a SweepSpec field."""

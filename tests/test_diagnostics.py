@@ -9,7 +9,7 @@ from scaledgd.linalg import orthonormal_complement, spectral_norm
 from scaledgd.problem import (GroundTruth, dense_m_star, make_approx_truth,
                               make_ground_truth)
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
-from scaledgd.solver import SolverConfig, StoppingRule, run
+from scaledgd.solver import SolverConfig, StoppingRule, random_init, run, run_batch
 
 
 def test_complement_of_e1():
@@ -94,10 +94,33 @@ def test_projected_rel_err_op_matches_dense_eigensolve():
     assert rel_err_op(gt.x_star, gt) <= 1e-14
 
 
-def test_rel_err_op_approx_truth_takes_dense_path():
+def test_rel_err_op_approx_truth_matches_dense_eigensolve():
+    # an approximately low-rank truth's frame spans R^n: the projection onto
+    # span[F, X] is n-sized and still equals the dense eigensolve
     at = make_approx_truth(20, 2, 3.0, 0.5, seed=17)
     x = np.random.default_rng(7).normal(size=(20, 3))
     assert abs(rel_err_op(x, at) - _dense_rel_err_op(x, at)) <= 1e-13
+
+
+def test_approx_truth_runs_with_diagnostics():
+    # run_batch takes an approximately low-rank oracle with diagnostics: every
+    # record has its phase metrics, and rel_err_op at the first and the last
+    # record equals the dense eigensolve
+    at = make_approx_truth(12, 2, 3.0, 0.1, seed=50)
+    op = identity_operator(12)
+    y = measure(op, at).y
+    base = SolverConfig(algorithm="scaled_gd_lambda", r=4, eta=0.5, lam=0.01,
+                        alpha=1e-3, max_iters=60, stop=StoppingRule(patience=20),
+                        seed_init=51, record_every=3)
+    configs = [base, replace(base, seed_init=52)]
+    for config, traj in zip(configs, run_batch(op, y, configs, oracle=at,
+                                               collect_diagnostics=True)):
+        assert len(traj.records) > 10
+        for rec in traj.records:
+            assert np.isfinite(astuple(rec.metrics)).all()
+        x0 = random_init(12, config.r, config.alpha, config.seed_init)
+        for rec, x in ((traj.records[0], x0), (traj.records[-1], traj.final_state.x)):
+            assert abs(rec.rel_err_op - _dense_rel_err_op(x, at)) <= 1e-13
 
 
 def test_metrics_and_reassembly_ignore_the_signs_of_v():
@@ -255,8 +278,7 @@ def test_stacked_diagnostics_match_one_iterate_at_a_time():
     # a stack of five iterates; in the third, U*^T X has rank 1 of r* = 3.
     # With U* the first three axes, U*^T X is X's first three rows exactly
     gen = np.random.default_rng(40)
-    gt = GroundTruth(n=12, r_star=3, u_star=np.eye(12)[:, :3],
-                     sigma_star=np.array([1.0, 0.6, 0.25]))
+    gt = GroundTruth(r_star=3, frame=np.eye(12)[:, :3], scales=np.array([1.0, 0.6, 0.25]))
     xs = gen.normal(size=(5, 12, 5))
     xs[2, 1:3] = 0.0
     u_perp = orthonormal_complement(gt.u_star)

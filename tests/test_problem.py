@@ -46,14 +46,13 @@ def test_validation():
 
 
 def test_dense_m_star_axis_aligned():
-    gt = GroundTruth(n=2, r_star=1, u_star=np.array([[1.0], [0.0]]),
-                     sigma_star=np.array([2.0]))
+    gt = GroundTruth(r_star=1, frame=np.array([[1.0], [0.0]]), scales=np.array([2.0]))
     assert np.allclose(dense_m_star(gt), [[4.0, 0.0], [0.0, 0.0]])
 
 
 def test_dense_m_star_rotated():
     u = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    gt = GroundTruth(n=2, r_star=1, u_star=u, sigma_star=np.array([1.0]))
+    gt = GroundTruth(r_star=1, frame=u, scales=np.array([1.0]))
     assert np.allclose(dense_m_star(gt), [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -74,11 +73,16 @@ def test_dense_m_star_symmetric_and_norm():
 
 
 def test_approx_truth_tail_values():
-    # direct evaluation of the decay formula with sigma_min^2 = 0.25
+    # direct evaluation of the decay formula with sigma_min^2 = 0.25: the tail
+    # scales square to the tail eigenvalues, after the planted r* = 2
     at = make_approx_truth(4, 2, 2, tail_decay=0.1, seed=7)
-    assert np.allclose(at.tail_spectrum, [0.025, 0.0025])
-    assert at.tail_spectral_norm() == pytest.approx(0.025)
-    assert np.linalg.norm(at.tail_spectrum) == pytest.approx(np.hypot(0.025, 0.0025))
+    gt = make_ground_truth(4, 2, 2, seed=7)
+    assert (at.n, at.r_star) == (4, 2)
+    assert np.allclose(at.scales[2:] ** 2, [0.025, 0.0025])
+    assert np.array_equal(at.sigma_star, gt.sigma_star)
+    assert np.array_equal(at.u_star, gt.u_star)
+    assert np.abs(at.frame.T @ at.frame - np.eye(4)).max() < 1e-12
+    assert at.spectral_norm_m() == gt.spectral_norm_m() == 1.0
 
 
 def test_approx_truth_psd_and_truncation():
@@ -86,11 +90,11 @@ def test_approx_truth_psd_and_truncation():
     m = dense_m_star(at)
     vals = np.linalg.eigvalsh(m)
     assert vals.min() > -1e-12
-    # top r* eigenvalues recover the base spectrum
+    # top r* eigenvalues recover the planted spectrum
     top = np.sort(vals)[::-1][:3]
-    assert np.allclose(top, at.base.sigma_star**2, atol=1e-10)
-    # best rank-r* approximation is the base part
-    assert at.tail_spectrum[0] <= at.base.sigma_star[-1] ** 2
+    assert np.allclose(top, at.sigma_star**2, atol=1e-10)
+    # best rank-r* approximation is the planted part
+    assert at.scales[3] <= at.sigma_star[-1]
 
 
 def test_approx_truth_rejects_bad_decay():

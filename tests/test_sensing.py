@@ -190,7 +190,7 @@ def test_blocked_build_thread_bound(monkeypatch, cpus, cap, most):
 def test_forward_trace_example():
     # single hand-built A_1 = I_2 in svec coordinates
     a1 = identity_operator(2).svec(np.eye(2))
-    op = SensingOperator("gaussian_dense", 2, 1, storage=a1[None])
+    op = SensingOperator(2, 1, storage=a1[None])
     y = op.apply_forward(np.diag([1.0, 2.0]))
     assert y == pytest.approx([3.0])
     assert np.array_equal(op.apply_forward(np.zeros((2, 2))), [0.0])
@@ -203,7 +203,7 @@ def test_built_operator_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         op._storage[0] = 0.0
     storage = np.zeros((1, 3))
-    SensingOperator("gaussian_dense", 2, 1, storage=storage)
+    SensingOperator(2, 1, storage=storage)
     with pytest.raises(ValueError, match="read-only"):
         storage[0, 0] = 1.0
 

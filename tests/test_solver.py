@@ -146,6 +146,20 @@ def test_target_stop_needs_oracle():
         run(op, np.zeros(op.m) + 0.1, cfg)
 
 
+def test_diagnostics_with_r_below_r_star_rejected_before_any_pass(monkeypatch):
+    # the phase metrics need r >= r*; the batch refuses before its first pass
+    gt = make_ground_truth(10, 2, 2, seed=1)
+    op = identity_operator(10)
+    y = measure(op, gt).y
+    passes = []
+    monkeypatch.setattr(op, "residual_grad", lambda *args: passes.append(args))
+    configs = [SolverConfig(algorithm="scaled_gd_lambda", r=r, eta=0.5, lam=0.01)
+               for r in (3, 1)]
+    with pytest.raises(ValueError, match=r"diagnostics need r >= r\* = 2, got r = 1"):
+        run_batch(op, y, configs, oracle=gt, collect_diagnostics=True)
+    assert passes == []
+
+
 def test_patience_stop_on_stalled_loss():
     # tiny step size stalls the loss, so patience fires well before max_iters
     gt = make_ground_truth(8, 2, 2, seed=3)
