@@ -5,8 +5,7 @@ and a reproducible experiment harness."""
 
 __version__ = "0.1.0"
 
-from .problem import (GroundTruth, NoiseModel, dense_m_star, make_approx_truth,
-                      make_ground_truth)
+from .problem import GroundTruth, dense_m_star, make_approx_truth, make_ground_truth
 from .sensing import (Measurements, MemoryCapError, RipEstimate, SensingOperator,
                       estimate_rip_constant, gaussian_operator,
                       identity_operator, measure)

@@ -6,7 +6,8 @@ blocks:
     X = U* S~ V^T  +  U*perp N~ V^T  +  U*perp O~ Vperp^T
 
 where S = U*^T X has thin SVD U Sigma V^T, S~ = S V (signal), N~ = (U*perp^T X) V
-(misalignment) and O~ = (U*perp^T X) Vperp (surplus-rank component).  The scalar
+(misalignment) and O~ = (U*perp^T X) Vperp (surplus-rank component).  U*perp is
+the truth's cached `u_perp`, so it is computed once per truth.  The scalar
 metrics derived from the blocks track which phase of the run the iterate is in.
 V's column signs are whatever the SVD returns: neither the metrics nor the
 reassembled X depend on them.  Each function also takes a stack of iterates.
@@ -29,14 +30,14 @@ class IterateDecomposition:
     o_tilde: np.ndarray   # (n - r*) x (r - r*)
     v: np.ndarray         # r x r*
     v_perp: np.ndarray    # r x (r - r*)
-    u_star: np.ndarray
-    u_perp: np.ndarray
+    truth: GroundTruth
 
     def reconstruct(self) -> np.ndarray:
-        x = self.u_star @ self.s_tilde @ _t(self.v)
-        x = x + self.u_perp @ self.n_tilde @ _t(self.v)
+        u_star, u_perp = self.truth.u_star, self.truth.u_perp
+        x = u_star @ self.s_tilde @ _t(self.v)
+        x = x + u_perp @ self.n_tilde @ _t(self.v)
         if self.o_tilde.shape[-1]:
-            x = x + self.u_perp @ self.o_tilde @ _t(self.v_perp)
+            x = x + u_perp @ self.o_tilde @ _t(self.v_perp)
         return x
 
 
@@ -53,23 +54,15 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def decompose_iterate(x: np.ndarray, gt: GroundTruth, *,
-                      u_perp: np.ndarray | None = None) -> IterateDecomposition:
-    """Split an iterate into signal / misalignment / overparameterization blocks.
-
-    u_perp, when given, must be orthonormal_complement(gt.u_star); a caller
-    that decomposes many iterates of one truth computes it once.
-    """
-    u_star = gt.u_star
-    if u_perp is None:
-        u_perp = orthonormal_complement(u_star)
-    s = u_star.T @ x                       # r* x r
-    n_blk = u_perp.T @ x                   # (n - r*) x r
+def decompose_iterate(x: np.ndarray, gt: GroundTruth) -> IterateDecomposition:
+    """Split an iterate into signal / misalignment / overparameterization blocks."""
+    s = gt.u_star.T @ x                    # r* x r
+    n_blk = gt.u_perp.T @ x                # (n - r*) x r
     v = _t(np.linalg.svd(s, full_matrices=False)[2])  # r x r*
     v_perp = orthonormal_complement(v)     # r x (r - r*)
     return IterateDecomposition(
         s_tilde=s @ v, n_tilde=n_blk @ v, o_tilde=n_blk @ v_perp,
-        v=v, v_perp=v_perp, u_star=u_star, u_perp=u_perp)
+        v=v, v_perp=v_perp, truth=gt)
 
 
 def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,

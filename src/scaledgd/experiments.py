@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import NoiseModel, make_ground_truth
+from .problem import make_ground_truth
 from .rng import derive_seed
 from .sensing import gaussian_operator, measure
 from .solver import (DAMPING_FRAC, SolverConfig, StoppingRule, Trajectory,
@@ -78,6 +78,8 @@ class SweepSpec:
             raise ValueError("enable a stopping rule (target_rel_err or patience)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if min((self.sigma, *(vals if self.axis == "noise_sigma" else ()))) < 0:
+            raise ValueError("noise sigma must be >= 0")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise ValueError(f"lam must be a number or 'auto', got {self.lam!r}")
 
@@ -184,8 +186,7 @@ def point_instance(spec: SweepSpec, seed: int, op=None):
     gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
     if op is None:
         op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
-    noise = NoiseModel(sigma=spec.sigma, seed=derive_seed(seed, TAG_NOISE))
-    return gt, op, measure(op, gt, noise).y
+    return gt, op, measure(op, gt, spec.sigma, derive_seed(seed, TAG_NOISE)).y
 
 
 def point_config(spec: SweepSpec, seed: int, op, y) -> SolverConfig:

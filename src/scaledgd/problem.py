@@ -5,12 +5,14 @@ U* a uniformly random orthonormal frame and sigma* a prescribed spectrum
 with condition number kappa.  The spectrum is normalized so that
 ||X*|| = ||M*|| = 1, making relative errors comparable across kappa.  An
 approximately low-rank truth adds a geometric PSD tail on the complement
-of U*.
+of U*, which a truth computes once and caches as `u_perp`.  Measurement
+noise is drawn by `sensing.measure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from . import rng
 from .linalg import orthonormal_complement
 
 _FRAME_STREAM = 0
-_NOISE_STREAM = 0
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,13 @@ class GroundTruth:
     scales: np.ndarray    # length k, non-increasing; sigma_star positive
 
     @property
-    def n(self) -> int:
-        return self.frame.shape[0]
-
-    @property
     def u_star(self) -> np.ndarray:
         return self.frame[:, :self.r_star]
+
+    @cached_property
+    def u_perp(self) -> np.ndarray:
+        """n x (n - r_star) orthonormal complement of u_star, computed once."""
+        return orthonormal_complement(self.u_star)
 
     @property
     def sigma_star(self) -> np.ndarray:
@@ -51,21 +53,6 @@ class GroundTruth:
     def spectral_norm_m(self) -> float:
         """||M*|| = scales[0]^2."""
         return float(self.scales[0] ** 2)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """i.i.d. Gaussian measurement noise, N(0, sigma^2) per measurement."""
-
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-
-    def draw(self, m: int) -> np.ndarray:
-        return self.sigma * rng.normals(self.seed, _NOISE_STREAM, m)
 
 
 def make_ground_truth(n: int, r_star: int, kappa: float, seed: int) -> GroundTruth:
@@ -99,7 +86,7 @@ def dense_m_star(truth: GroundTruth) -> np.ndarray:
 def make_approx_truth(n: int, r_star: int, kappa: float, tail_decay: float,
                       seed: int) -> GroundTruth:
     """make_ground_truth's instance plus a geometric PSD tail on the
-    complement of u_star: frame [u_star | orthonormal_complement(u_star)].
+    complement of u_star: frame [u_star | u_perp].
 
     Tail eigenvalues are sigma_star[-1]^2 * tail_decay^j for j = 1..n-r_star,
     so the best rank-r_star approximation of the full matrix is exactly the
@@ -111,5 +98,5 @@ def make_approx_truth(n: int, r_star: int, kappa: float, tail_decay: float,
     j = np.arange(1, n - r_star + 1, dtype=float)
     tail = base.sigma_star[-1] * np.sqrt(tail_decay**j)
     return GroundTruth(r_star=r_star,
-                       frame=np.hstack([base.u_star, orthonormal_complement(base.u_star)]),
+                       frame=np.hstack([base.u_star, base.u_perp]),
                        scales=np.concatenate([base.sigma_star, tail]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .problem import NoiseModel, dense_m_star
+from .problem import dense_m_star
 
 MEMORY_CAP_BYTES = 2 << 30  # 2 GiB: the largest dense operator built
 _BLOCK_BYTES = 256 << 10  # uniforms of one block of rows in the dense build
@@ -182,13 +182,14 @@ class Measurements:
     y: np.ndarray
 
 
-def measure(op: SensingOperator, truth, noise: NoiseModel | None = None) -> Measurements:
-    """y = A(M*) + xi with xi i.i.d. N(0, sigma^2); sigma = 0 is bit-exact noiseless."""
-    if noise is None:
-        noise = NoiseModel()
+def measure(op: SensingOperator, truth, sigma: float = 0.0, seed: int = 0) -> Measurements:
+    """y = A(M*) + xi with xi i.i.d. N(0, sigma^2), drawn as
+    sigma * normals(seed, 0, m); sigma = 0 is bit-exact noiseless."""
+    if sigma < 0:
+        raise ValueError("noise sigma must be >= 0")
     y = op.apply_forward(dense_m_star(truth))
-    if noise.sigma > 0:
-        y = y + noise.draw(op.m)
+    if sigma > 0:
+        y = y + sigma * rng.normals(seed, 0, op.m)
     return Measurements(y=y)
 
 

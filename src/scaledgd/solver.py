@@ -22,7 +22,6 @@ import numpy as np
 
 from . import rng
 from .diagnostics import decompose_iterate, phase_metrics, rel_err_op
-from .linalg import orthonormal_complement
 from .problem import dense_m_star
 from .sensing import SensingOperator
 
@@ -106,8 +105,8 @@ class SolverConfig:
             raise ValueError("eta must be > 0")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
-        if self.algorithm == "scaled_gd" and self.lam != 0.0:
-            raise ValueError("scaled_gd is the lambda = 0 case; got lambda != 0")
+        if self.algorithm != "scaled_gd_lambda" and self.lam != 0.0:
+            raise ValueError(f"{self.algorithm} takes no fixed lambda; got lambda = {self.lam}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.max_iters < 0:
@@ -253,7 +252,7 @@ class _Run:
         if self.x.shape != (op.n, config.r):
             raise ValueError(f"x0 shape {self.x.shape} does not match (n, r)")
         self.config, self.oracle = config, oracle
-        self.u_perp = orthonormal_complement(oracle.u_star) if collect_diagnostics else None
+        self.diagnostics = collect_diagnostics
         if oracle is not None:
             self.m_star, self.norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
         self.damping = _DAMPING[config.algorithm]
@@ -317,8 +316,8 @@ class _Run:
         if self.oracle is not None and self.queue:
             xs = np.stack([entry[-1] for entry in self.queue])
             rel_ops = rel_err_op(xs, self.oracle).tolist()
-            if self.u_perp is not None:
-                metrics = phase_metrics(decompose_iterate(xs, self.oracle, u_perp=self.u_perp),
+            if self.diagnostics:
+                metrics = phase_metrics(decompose_iterate(xs, self.oracle),
                                         self.oracle, self.config.lam)
         self.records += [TrajectoryRecord(t, loss, rel_fro, rel_op, rec_metrics, elapsed_ms)
                          for (t, loss, rel_fro, elapsed_ms, _), rel_op, rec_metrics

@@ -9,7 +9,7 @@ from scaledgd import __version__
 from scaledgd.cli import _spec_fields, _sweep_spec_from_config, build_parser, main
 from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
                                   preset_spec)
-from scaledgd.problem import NoiseModel, make_ground_truth
+from scaledgd.problem import make_ground_truth
 from scaledgd.rng import derive_seed
 from scaledgd.sensing import gaussian_operator, measure
 from scaledgd.solver import estimate_damping
@@ -73,7 +73,7 @@ def test_run_estimates_lambda_with_sweep_fraction(tmp_path, extra):
     meta = _read_meta(out + ".meta")
     gt = make_ground_truth(15, 2, 3.0, derive_seed(4, 1))
     op = gaussian_operator(15, 10 * 15 * 2, derive_seed(4, 2))
-    y = measure(op, gt, NoiseModel(seed=derive_seed(4, 4))).y
+    y = measure(op, gt, 0.0, derive_seed(4, 4)).y
     assert float(meta["damping_frac"]) == 0.05
     assert float(meta["lambda"]) == estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
 
@@ -431,6 +431,35 @@ def test_run_diagnostics_with_r_below_r_star_exits_2(tmp_path, capsys):
                  "--patience", "20", "--diagnostics", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: diagnostics need r >= r* = 2, got r = 1\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "prec-gd"])
+def test_run_refuses_a_lambda_the_algorithm_ignores(tmp_path, capsys, algorithm):
+    # GD and PrecGD take no fixed lambda; one on the command line is a flag
+    # error, not a damping the sidecar reports but the step never applies
+    out = tmp_path / "g.csv"
+    assert main(["run", "--algorithm", algorithm, "--lambda", "0.01", "--operator",
+                 "identity", "--n", "12", "--r-star", "2", "--r", "3",
+                 "--max-iters", "5", "--diagnostics", "--out", str(out)]) == 2
+    algo = algorithm.replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"error: {algo} takes no fixed lambda; got lambda = 0.01\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_sigma_exits_2_before_any_build(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator", no_build)
+    out = tmp_path / "s.csv"
+    for preset in ([], ["--preset", "paper-fig1"]):
+        assert main(["run", *preset, "--n", "60", "--sigma", "-0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: noise sigma must be >= 0\n"
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("axis = noise_sigma\nvalues = -0.01,0.01\nn = 20\ntrials = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "noise sigma must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def _setting_flags():

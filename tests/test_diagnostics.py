@@ -264,13 +264,14 @@ def test_phase_metrics_along_trajectory():
 
 
 def test_decompose_with_precomputed_complement_is_identical():
+    # a fresh truth computes u_perp in the call; gt's is computed before it
     gen = np.random.default_rng(30)
     gt = make_ground_truth(25, 3, 4, seed=31)
-    u_perp = orthonormal_complement(gt.u_star)
+    assert gt.u_perp.shape == (25, 22)
     for r in (3, 5):
         x = gen.normal(size=(25, r))
-        a = phase_metrics(decompose_iterate(x, gt), gt, 0.05)
-        b = phase_metrics(decompose_iterate(x, gt, u_perp=u_perp), gt, 0.05)
+        a = phase_metrics(decompose_iterate(x, make_ground_truth(25, 3, 4, seed=31)), gt, 0.05)
+        b = phase_metrics(decompose_iterate(x, gt), gt, 0.05)
         assert a == b
 
 
@@ -281,12 +282,11 @@ def test_stacked_diagnostics_match_one_iterate_at_a_time():
     gt = GroundTruth(r_star=3, frame=np.eye(12)[:, :3], scales=np.array([1.0, 0.6, 0.25]))
     xs = gen.normal(size=(5, 12, 5))
     xs[2, 1:3] = 0.0
-    u_perp = orthonormal_complement(gt.u_star)
-    stacked_dec = decompose_iterate(xs, gt, u_perp=u_perp)
+    stacked_dec = decompose_iterate(xs, gt)
     stacked = phase_metrics(stacked_dec, gt, 0.05)
     assert [np.isinf(m.misalign) for m in stacked] == [False, False, True, False, False]
     for i, x in enumerate(xs):
-        dec = decompose_iterate(x, gt, u_perp=u_perp)
+        dec = decompose_iterate(x, gt)
         for name in ("s_tilde", "n_tilde", "o_tilde", "v", "v_perp"):
             assert np.array_equal(getattr(stacked_dec, name)[i], getattr(dec, name))
         want = phase_metrics(dec, gt, 0.05)

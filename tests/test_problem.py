@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from scaledgd.problem import (GroundTruth, NoiseModel, dense_m_star,
-                              make_approx_truth, make_ground_truth)
+from scaledgd.linalg import orthonormal_complement
+from scaledgd.problem import (GroundTruth, dense_m_star, make_approx_truth,
+                              make_ground_truth)
+from scaledgd.sensing import identity_operator, measure
 
 
 def test_prescribed_spectrum():
@@ -77,7 +79,7 @@ def test_approx_truth_tail_values():
     # scales square to the tail eigenvalues, after the planted r* = 2
     at = make_approx_truth(4, 2, 2, tail_decay=0.1, seed=7)
     gt = make_ground_truth(4, 2, 2, seed=7)
-    assert (at.n, at.r_star) == (4, 2)
+    assert (at.frame.shape[0], at.r_star) == (4, 2)
     assert np.allclose(at.scales[2:] ** 2, [0.025, 0.0025])
     assert np.array_equal(at.sigma_star, gt.sigma_star)
     assert np.array_equal(at.u_star, gt.u_star)
@@ -104,8 +106,21 @@ def test_approx_truth_rejects_bad_decay():
 
 
 def test_noise_model():
+    # the noise is what measure adds to A(M*)
+    op, gt = identity_operator(4), make_ground_truth(4, 2, 2, seed=0)
+    clean = measure(op, gt).y
     with pytest.raises(ValueError):
-        NoiseModel(sigma=-1.0)
-    assert np.array_equal(NoiseModel(sigma=0.0, seed=5).draw(10), np.zeros(10))
-    a = NoiseModel(sigma=0.5, seed=5).draw(10)
-    assert np.array_equal(a, NoiseModel(sigma=0.5, seed=5).draw(10))
+        measure(op, gt, sigma=-1.0)
+    assert np.array_equal(measure(op, gt, 0.0, 5).y - clean, np.zeros(10))
+    a = measure(op, gt, 0.5, 5).y - clean
+    assert np.array_equal(a, measure(op, gt, 0.5, 5).y - clean)
+
+
+def test_u_perp_is_the_cached_complement():
+    gt = make_ground_truth(9, 3, 2, seed=4)
+    assert gt.u_perp is gt.u_perp
+    assert np.array_equal(gt.u_perp, orthonormal_complement(gt.u_star))
+    # an approximately low-rank truth's tail lies on the same complement
+    at = make_approx_truth(9, 3, 2, tail_decay=0.5, seed=4)
+    assert np.array_equal(at.frame[:, 3:], gt.u_perp)
+    assert np.array_equal(at.u_perp, gt.u_perp)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scaledgd import rng, sensing
-from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
+from scaledgd.problem import dense_m_star, make_ground_truth
 from scaledgd.sensing import (MemoryCapError, SensingOperator, estimate_rip_constant,
                               gaussian_operator, identity_operator, measure)
 
@@ -313,12 +313,24 @@ def test_measure_noiseless_and_deterministic():
     gt = make_ground_truth(10, 2, 3, seed=1)
     op = gaussian_operator(10, 50, seed=2)
     clean = op.apply_forward(dense_m_star(gt))
-    meas = measure(op, gt, NoiseModel(sigma=0.0, seed=9))
+    meas = measure(op, gt, 0.0, 9)
     assert np.array_equal(meas.y, clean)
-    a = measure(op, gt, NoiseModel(sigma=0.1, seed=9))
-    b = measure(op, gt, NoiseModel(sigma=0.1, seed=9))
+    a = measure(op, gt, 0.1, 9)
+    b = measure(op, gt, 0.1, 9)
     assert np.array_equal(a.y, b.y)
     assert not np.array_equal(a.y, clean)
+
+
+def test_measure_adds_sigma_times_the_noise_stream():
+    gt = make_ground_truth(10, 2, 3, seed=1)
+    op = gaussian_operator(10, 50, seed=2)
+    clean = op.apply_forward(dense_m_star(gt))
+    for sigma, seed in ((1e-3, 0), (0.7, 12345)):
+        want = clean + sigma * rng.normals(seed, 0, op.m)
+        assert np.array_equal(measure(op, gt, sigma, seed).y, want)
+    for bad in (-1e-12, -0.1):
+        with pytest.raises(ValueError, match="noise sigma must be >= 0"):
+            measure(op, gt, bad, 9)
 
 
 def test_rip_identity_zero():

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scaledgd import solver
-from scaledgd.problem import NoiseModel, dense_m_star, make_ground_truth
+from scaledgd import diagnostics, linalg, problem, solver
+from scaledgd.problem import dense_m_star, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import (DivergenceError, PreconditionerError, SolverConfig,
                              StoppingRule, _solve_preconditioner,
@@ -136,6 +136,28 @@ def test_stop_at_truth_immediately():
     traj = run(op, y, cfg, oracle=gt)
     assert traj.stop_reason == "target_reached"
     assert traj.final_state.t == 0
+
+
+def test_batch_diagnostics_take_one_complement_of_u_star(monkeypatch):
+    # four diagnostic runs on one truth share its U*perp; the complements of
+    # each record's V (r x r*) are the only other calls
+    real = linalg.orthonormal_complement
+    shapes = []
+
+    def counting(u):
+        shapes.append(u.shape)
+        return real(u)
+    for module in (problem, solver, diagnostics):
+        if getattr(module, "orthonormal_complement", None) is real:
+            monkeypatch.setattr(module, "orthonormal_complement", counting)
+    gt = make_ground_truth(10, 2, 2, seed=1)
+    op = identity_operator(10)
+    y = measure(op, gt).y
+    configs = [SolverConfig(algorithm="scaled_gd_lambda", r=3, eta=0.5, lam=0.01,
+                            max_iters=5, seed_init=seed) for seed in range(4)]
+    trajs = run_batch(op, y, configs, oracle=gt, collect_diagnostics=True)
+    assert all(rec.metrics is not None for traj in trajs for rec in traj.records)
+    assert shapes.count(gt.u_star.shape) == 1
 
 
 def test_target_stop_needs_oracle():
@@ -552,8 +574,10 @@ def test_config_validation():
         SolverConfig(algorithm="gd", r=0, eta=0.1)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd", r=2, eta=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="scaled_gd", r=2, eta=0.1, lam=0.5)
+    for algorithm in ("scaled_gd", "gd", "prec_gd"):  # only ScaledGD(lambda) reads lam
+        with pytest.raises(ValueError, match=f"{algorithm} takes no fixed lambda"):
+            SolverConfig(algorithm=algorithm, r=2, eta=0.1, lam=0.5)
+        SolverConfig(algorithm=algorithm, r=2, eta=0.1, lam=0.0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd", r=2, eta=0.1, lam=-1.0)
     with pytest.raises(ValueError):
@@ -573,7 +597,7 @@ def test_config_validation():
 def test_noisy_measurements_flow_through():
     gt = make_ground_truth(10, 2, 2, seed=7)
     op = gaussian_operator(10, 300, seed=8)
-    y = measure(op, gt, NoiseModel(sigma=1e-3, seed=1)).y
+    y = measure(op, gt, 1e-3, 1).y
     cfg = SolverConfig(algorithm="scaled_gd_lambda", r=3, eta=0.3, lam=0.01,
                        alpha=1e-6, max_iters=200, stop=StoppingRule(patience=50))
     traj = run(op, y, cfg, oracle=gt)
