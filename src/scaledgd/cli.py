@@ -20,7 +20,7 @@ from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, point_inst
                           preset_spec, run_sweep)
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
-from .solver import DivergenceError, PreconditionerError, run
+from .solver import DIVERGENCE_FACTOR, run
 
 
 def _write_sidecar(path: str, settings: dict) -> None:
@@ -107,22 +107,20 @@ def cmd_run(args) -> int:
         raise ValueError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
-    gt, op, y = point_instance(
-        spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
-
     # ScaledGD(lambda) estimates lambda at r* as the sweeps do; the other
-    # algorithms are undamped unless --lambda
+    # algorithms are undamped unless --lambda.  A fixed lambda's config needs
+    # no instance, so SolverConfig checks it before the operator is built.
     if spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
         spec = replace(spec, lam=0.0)
-    config = replace(point_config(spec, seed, op, y),
-                     algorithm=args.algorithm.replace("-", "_"),
-                     init=args.init.replace("-", "_"))
+    flags = dict(algorithm=args.algorithm.replace("-", "_"), init=args.init.replace("-", "_"))
+    if spec.lam != "auto":
+        replace(point_config(spec, seed, None, None), **flags)
+    gt, op, y = point_instance(
+        spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
+    config = replace(point_config(spec, seed, op, y), **flags)
 
-    failed = None
-    try:
-        traj = run(op, y, config, oracle=gt, collect_diagnostics=args.diagnostics)
-    except (DivergenceError, PreconditionerError) as exc:
-        failed, traj = exc, exc.trajectory  # write what was recorded, then exit 1
+    traj = run(op, y, config, oracle=gt, collect_diagnostics=args.diagnostics)
+    final = traj.final_state
     emit_csv(traj, args.out)
     _write_sidecar(args.out, {
         "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
@@ -133,15 +131,19 @@ def cmd_run(args) -> int:
         "target": spec.target_rel_err, "patience": spec.patience,
         "improve_tol": spec.improve_tol, "max_iters": spec.max_iters,
         "record_every": spec.record_every, "stop_reason": traj.stop_reason,
-        "final_iter": traj.final_state.t, "final_loss": traj.final_state.loss,
-        "version": __version__,
+        "final_iter": final.t, "final_loss": final.loss, "version": __version__,
     })
-    if failed is not None:
-        raise failed
-    last = traj.records[-1]
-    print(f"stop={traj.stop_reason} iters={traj.final_state.t} "
-          f"loss={traj.final_state.loss:.3e} rel_err_fro={last.rel_err_fro:.3e}")
-    return 0
+    if traj.stop_reason not in ("diverged", "preconditioner_singular"):
+        print(f"stop={traj.stop_reason} iters={final.t} loss={final.loss:.3e} "
+              f"rel_err_fro={traj.records[-1].rel_err_fro:.3e}")
+        return 0
+    loss0 = traj.records[0].loss if traj.records else final.loss
+    print("runtime error: " + (  # a failed run exits 1 once its records are written
+        f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial loss "
+        f"{loss0:.3e} at iteration {final.t}" if traj.stop_reason == "diverged"
+        else f"preconditioner singular at iteration {final.t}; use lambda > 0"),
+        file=sys.stderr)
+    return 1
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures (I/O, divergence, ...)
+    except Exception as exc:  # runtime failures (I/O, ...)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,12 +65,11 @@ def decompose_iterate(x: np.ndarray, gt: GroundTruth) -> IterateDecomposition:
         v=v, v_perp=v_perp, truth=gt)
 
 
-def phase_metrics(dec: IterateDecomposition, gt: GroundTruth,
-                  lam: float) -> PhaseMetrics | list[PhaseMetrics]:
-    """The PhaseMetrics of a decomposition, or a list of them for a stacked
-    one.  A singular S~ is swapped for the identity before the solve, which
-    would raise on it, and gets an infinite misalign."""
-    sigma = gt.sigma_star
+def phase_metrics(dec: IterateDecomposition, lam: float) -> PhaseMetrics | list[PhaseMetrics]:
+    """The PhaseMetrics of a decomposition against its truth, or a list of
+    them for a stacked one.  A singular S~ is swapped for the identity before
+    the solve, which would raise on it, and gets an infinite misalign."""
+    sigma = dec.truth.sigma_star
     s_tilde = dec.s_tilde
     scaled = s_tilde / np.sqrt(sigma**2 + lam)[:, None]
     sigma_min_scaled = np.linalg.svd(scaled, compute_uv=False)[..., -1]

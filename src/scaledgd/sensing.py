@@ -60,6 +60,8 @@ class SensingOperator:
         self._iu = np.triu_indices(n)
         self._scale = np.where(self._iu[0] == self._iu[1], 1.0, np.sqrt(2.0))
         self.dim = self._scale.size  # n(n+1)/2
+        self._full = np.empty((n, n), dtype=np.intp)  # svec index of entry (i, j)
+        self._full[self._iu] = self._full[self._iu[::-1]] = np.arange(self.dim)
 
     # -- svec coordinates ---------------------------------------------------
 
@@ -71,12 +73,8 @@ class SensingOperator:
         return sym[..., self._iu[0], self._iu[1]] * self._scale
 
     def unsvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape[:-1] + (self.n, self.n))
-        out[..., self._iu[0], self._iu[1]] = v / self._scale
-        out = out + np.swapaxes(out, -1, -2)
-        diag = np.arange(self.n)
-        out[..., diag, diag] *= 0.5
-        return out
+        """The n x n matrix of an svec, or the stack of a k x dim array's rows."""
+        return np.take(v / self._scale, self._full, axis=-1)  # C-contiguous, unlike v[..., idx]
 
     def row_svec(self, i: int) -> np.ndarray:
         """Row i of a Gaussian operator in svec coordinates (bit-exact contract)."""

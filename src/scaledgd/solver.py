@@ -38,26 +38,7 @@ _RECORD_CHUNK = 16  # queued records whose oracle metrics go in one stacked call
 
 
 class PreconditionerError(np.linalg.LinAlgError):
-    """X^T X + lambda_t I is not positive definite.  Raised by run() with
-    trajectory, the run up to the failed step (stop reason
-    "preconditioner_singular")."""
-
-    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
-        super().__init__(message)
-        self.trajectory = trajectory
-
-
-class DivergenceError(RuntimeError):
-    """The loss blew up.  trajectory is the run up to it: stop reason
-    "diverged", the TrajectoryRecords made before it, and final_state the
-    iterate that blew up."""
-
-    def __init__(self, trajectory: "Trajectory"):
-        final = trajectory.final_state
-        loss0 = trajectory.records[0].loss if trajectory.records else final.loss
-        super().__init__(f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
-                         f"initial loss {loss0:.3e} at iteration {final.t}")
-        self.trajectory = trajectory
+    """X^T X + lambda_t I is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -317,8 +298,7 @@ class _Run:
             xs = np.stack([entry[-1] for entry in self.queue])
             rel_ops = rel_err_op(xs, self.oracle).tolist()
             if self.diagnostics:
-                metrics = phase_metrics(decompose_iterate(xs, self.oracle),
-                                        self.oracle, self.config.lam)
+                metrics = phase_metrics(decompose_iterate(xs, self.oracle), self.config.lam)
         self.records += [TrajectoryRecord(t, loss, rel_fro, rel_op, rec_metrics, elapsed_ms)
                          for (t, loss, rel_fro, elapsed_ms, _), rel_op, rec_metrics
                          in zip(self.queue, rel_ops, metrics)]
@@ -370,15 +350,9 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     are recorded and the target stopping rule is active.  Records are made
     every record_every iterations and at the stop; their rel_err_op and, on
     request, phase metrics (these need an oracle and r >= r*) are computed
-    for a stack of queued records at once.  A loss that blows up
-    raises DivergenceError carrying the records made so far, and a singular
-    preconditioner raises PreconditionerError carrying them.  This is
+    for a stack of queued records at once.  A run whose loss blows up or
+    whose preconditioner turns singular returns with stop reason "diverged"
+    or "preconditioner_singular" and the records made so far.  This is
     run_batch with one configuration.
     """
-    traj, = run_batch(op, y, [config], oracle, collect_diagnostics)
-    if traj.stop_reason == "diverged":
-        raise DivergenceError(traj)
-    if traj.stop_reason == "preconditioner_singular":
-        raise PreconditionerError(f"preconditioner singular at iteration "
-                                  f"{traj.final_state.t}; use lambda > 0", traj)
-    return traj
+    return run_batch(op, y, [config], oracle, collect_diagnostics)[0]

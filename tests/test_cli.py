@@ -11,7 +11,7 @@ from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
                                   preset_spec)
 from scaledgd.problem import make_ground_truth
 from scaledgd.rng import derive_seed
-from scaledgd.sensing import gaussian_operator, measure
+from scaledgd.sensing import gaussian_operator, identity_operator, measure
 from scaledgd.solver import estimate_damping
 
 
@@ -246,7 +246,8 @@ def test_run_singular_preconditioner_exits_1(tmp_path, capsys):
     out = str(tmp_path / "sing.csv")
     assert main(["run", "--algorithm", "scaled-gd", "--n", "20", "--r-star", "2",
                  "--r", "4", "--alpha", "1e-200", "--seed", "1", "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("runtime error: preconditioner singular")
+    assert capsys.readouterr().err == \
+        "runtime error: preconditioner singular at iteration 0; use lambda > 0\n"
     rows = _read_csv(out)
     assert rows[0] == list(TRAJECTORY_COLUMNS)
     assert [row[0] for row in rows[1:]] == ["0"]
@@ -444,6 +445,24 @@ def test_run_refuses_a_lambda_the_algorithm_ignores(tmp_path, capsys, algorithm)
     algo = algorithm.replace("-", "_")
     assert capsys.readouterr().err == \
         f"error: {algo} takes no fixed lambda; got lambda = 0.01\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lambda_refused_before_any_build(tmp_path, monkeypatch, capsys):
+    # the algorithm's config is built from the flags before the instance, so a
+    # lambda GD ignores exits 2 without an operator build (408 MB at paper-fig1)
+    builds = []
+
+    def counting(n, m, seed):
+        builds.append((n, m, seed))
+        return identity_operator(n)
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator", counting)
+    out = tmp_path / "g.csv"
+    for preset in ([], ["--preset", "paper-fig1"]):
+        assert main(["run", *preset, "--algorithm", "gd", "--lambda", "0.01", "--n", "20",
+                     "--r-star", "2", "--r", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gd takes no fixed lambda; got lambda = 0.01\n"
+    assert builds == []
     assert list(tmp_path.iterdir()) == []
 
 

@@ -136,8 +136,8 @@ def test_metrics_and_reassembly_ignore_the_signs_of_v():
                           n_tilde=dec.n_tilde * flips,
                           v_perp=dec.v_perp * flips[:2], o_tilde=dec.o_tilde * flips[:2])
         for lam in (0.0, 0.1):
-            want = astuple(phase_metrics(dec, gt, lam))
-            got = astuple(phase_metrics(flipped, gt, lam))
+            want = astuple(phase_metrics(dec, lam))
+            got = astuple(phase_metrics(flipped, lam))
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         err = np.linalg.norm(flipped.reconstruct() - dec.reconstruct())
         assert err <= 1e-12 * np.linalg.norm(dec.reconstruct())
@@ -195,7 +195,7 @@ def test_exact_parameterization_no_overparam_block():
     x = np.random.default_rng(10).normal(size=(8, 3))
     dec = decompose_iterate(x, gt)
     assert dec.o_tilde.shape == (5, 0)
-    metrics = phase_metrics(dec, gt, lam=0.1)
+    metrics = phase_metrics(dec, lam=0.1)
     assert metrics.overparam_norm == 0.0
 
 
@@ -203,7 +203,7 @@ def test_gamma_norm_scaled_truth():
     # x = 0.5 X*: S~ S~^T = 0.25 Sigma*^2, so Gamma = -0.75 I exactly
     gt = make_ground_truth(9, 3, 4, seed=11)
     dec = decompose_iterate(0.5 * gt.x_star, gt)
-    m = phase_metrics(dec, gt, lam=0.0)
+    m = phase_metrics(dec, lam=0.0)
     assert m.gamma_norm == pytest.approx(0.75, abs=1e-12)
     assert m.misalign <= 1e-10
 
@@ -212,17 +212,17 @@ def test_sigma_min_scaled_values():
     gt = make_ground_truth(7, 2, 2, seed=12)
     dec = decompose_iterate(gt.x_star, gt)
     # at the truth with lam = 0 the scaled block is an isometry
-    assert phase_metrics(dec, gt, 0.0).sigma_min_scaled == pytest.approx(1.0, abs=1e-12)
+    assert phase_metrics(dec, 0.0).sigma_min_scaled == pytest.approx(1.0, abs=1e-12)
     lam = 0.3
     expect = min(s / np.sqrt(s * s + lam) for s in gt.sigma_star)
-    assert phase_metrics(dec, gt, lam).sigma_min_scaled == pytest.approx(expect, rel=1e-12)
+    assert phase_metrics(dec, lam).sigma_min_scaled == pytest.approx(expect, rel=1e-12)
 
 
 def test_misalign_infinite_when_signal_singular():
     gt = make_ground_truth(6, 2, 2, seed=13)
     x = np.zeros((6, 3))
     x[:, 0] = orthonormal_complement(gt.u_star)[:, 0]
-    m = phase_metrics(decompose_iterate(x, gt), gt, 0.0)
+    m = phase_metrics(decompose_iterate(x, gt), 0.0)
     assert np.isinf(m.misalign)
 
 
@@ -270,8 +270,8 @@ def test_decompose_with_precomputed_complement_is_identical():
     assert gt.u_perp.shape == (25, 22)
     for r in (3, 5):
         x = gen.normal(size=(25, r))
-        a = phase_metrics(decompose_iterate(x, make_ground_truth(25, 3, 4, seed=31)), gt, 0.05)
-        b = phase_metrics(decompose_iterate(x, gt), gt, 0.05)
+        a = phase_metrics(decompose_iterate(x, make_ground_truth(25, 3, 4, seed=31)), 0.05)
+        b = phase_metrics(decompose_iterate(x, gt), 0.05)
         assert a == b
 
 
@@ -283,13 +283,13 @@ def test_stacked_diagnostics_match_one_iterate_at_a_time():
     xs = gen.normal(size=(5, 12, 5))
     xs[2, 1:3] = 0.0
     stacked_dec = decompose_iterate(xs, gt)
-    stacked = phase_metrics(stacked_dec, gt, 0.05)
+    stacked = phase_metrics(stacked_dec, 0.05)
     assert [np.isinf(m.misalign) for m in stacked] == [False, False, True, False, False]
     for i, x in enumerate(xs):
         dec = decompose_iterate(x, gt)
         for name in ("s_tilde", "n_tilde", "o_tilde", "v", "v_perp"):
             assert np.array_equal(getattr(stacked_dec, name)[i], getattr(dec, name))
-        want = phase_metrics(dec, gt, 0.05)
+        want = phase_metrics(dec, 0.05)
         assert stacked[i] == want
     approx = make_approx_truth(12, 3, 4.0, 0.5, seed=41)
     for truth in (gt, approx):

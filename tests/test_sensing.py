@@ -377,3 +377,30 @@ def test_rip_validation():
         estimate_rip_constant(op, 0, 10, seed=0)
     with pytest.raises(ValueError):
         estimate_rip_constant(op, 2, 0, seed=0)
+
+
+def _unsvec_by_scatter(op, v):
+    # the scatter construction: the upper triangle from v, plus its
+    # transpose, with the doubled diagonal halved
+    out = np.zeros(v.shape[:-1] + (op.n, op.n))
+    out[..., op._iu[0], op._iu[1]] = v / op._scale
+    out = out + np.swapaxes(out, -1, -2)
+    diag = np.arange(op.n)
+    out[..., diag, diag] *= 0.5
+    return out
+
+
+def test_unsvec_gather_matches_scatter_bit_for_bit():
+    # an off-diagonal entry is v / sqrt(2) + 0 and a diagonal one (v + v) * 0.5
+    # in the scatter, so the gather gives the same bits, and an exactly
+    # symmetric matrix.  A stack comes out C-contiguous, as the scatter's did,
+    # so the products with it stay on the fast path
+    gen = np.random.default_rng(50)
+    for n in (1, 2, 7):
+        op = identity_operator(n)
+        for shape in ((op.dim,), (3, op.dim)):
+            v = gen.normal(size=shape)
+            got = op.unsvec(v)
+            assert got.tobytes() == _unsvec_by_scatter(op, v).tobytes()
+            assert got.tobytes() == np.swapaxes(got, -1, -2).copy().tobytes()
+            assert got.flags.c_contiguous
