@@ -20,7 +20,7 @@ from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, point_inst
                           preset_spec, run_sweep)
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
-from .solver import DIVERGENCE_FACTOR, run
+from .solver import ALGORITHMS, DIVERGENCE_FACTOR, run
 
 
 def _write_sidecar(path: str, settings: dict) -> None:
@@ -107,17 +107,18 @@ def cmd_run(args) -> int:
         raise ValueError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
-    # ScaledGD(lambda) estimates lambda at r* as the sweeps do; the other
-    # algorithms are undamped unless --lambda.  A fixed lambda's config needs
-    # no instance, so SolverConfig checks it before the operator is built.
-    if spec.lam == "auto" and args.algorithm != "scaled-gd-lambda":
-        spec = replace(spec, lam=0.0)
+    # The config is built before the instance, so SolverConfig checks every
+    # setting before the operator is built.  ScaledGD(lambda) then estimates an
+    # auto lambda at r* as the sweeps do; the other algorithms are undamped.
     flags = dict(algorithm=args.algorithm.replace("-", "_"), init=args.init.replace("-", "_"))
-    if spec.lam != "auto":
-        replace(point_config(spec, seed, None, None), **flags)
+    base = point_config(spec, seed)
+    config = replace(base, **flags)
+    if config.algorithm != base.algorithm:
+        spec = replace(spec, lam=0.0)
     gt, op, y = point_instance(
         spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
-    config = replace(point_config(spec, seed, op, y), **flags)
+    if spec.lam == "auto":
+        config = replace(point_config(spec, seed, op, y), **flags)
 
     traj = run(op, y, config, oracle=gt, collect_diagnostics=args.diagnostics)
     final = traj.final_state
@@ -137,12 +138,15 @@ def cmd_run(args) -> int:
         print(f"stop={traj.stop_reason} iters={final.t} loss={final.loss:.3e} "
               f"rel_err_fro={traj.records[-1].rel_err_fro:.3e}")
         return 0
-    loss0 = traj.records[0].loss if traj.records else final.loss
-    print("runtime error: " + (  # a failed run exits 1 once its records are written
-        f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial loss "
-        f"{loss0:.3e} at iteration {final.t}" if traj.stop_reason == "diverged"
-        else f"preconditioner singular at iteration {final.t}; use lambda > 0"),
-        file=sys.stderr)
+    # a failed run exits 1 once its records are written
+    if traj.stop_reason == "preconditioner_singular":
+        reason = f"preconditioner singular at iteration {final.t}; use lambda > 0"
+    elif not np.isfinite(final.loss):
+        reason = f"loss {final.loss:.3e} is not finite at iteration {final.t}"
+    else:  # a finite blow-up comes after the record at iteration 0
+        reason = (f"loss {final.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial "
+                  f"loss {traj.records[0].loss:.3e} at iteration {final.t}")
+    print(f"runtime error: {reason}", file=sys.stderr)
     return 1
 
 
@@ -233,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one solver trajectory")
-    p.add_argument("--algorithm", default="scaled-gd-lambda",
-                   choices=("scaled-gd-lambda", "gd", "scaled-gd", "prec-gd"),
-                   help="solver (default scaled-gd-lambda)")
+    algorithms = [name.replace("_", "-") for name in ALGORITHMS]
+    p.add_argument("--algorithm", default=algorithms[0], choices=algorithms,
+                   help="solver (default %(default)s)")
     p.add_argument("--preset", help="take the settings of a sweep preset: "
                    + ", ".join(sorted(PRESETS)))
     p.add_argument("--operator", choices=("gaussian", "identity"),

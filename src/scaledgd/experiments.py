@@ -189,13 +189,14 @@ def point_instance(spec: SweepSpec, seed: int, op=None):
     return gt, op, measure(op, gt, spec.sigma, derive_seed(seed, TAG_NOISE)).y
 
 
-def point_config(spec: SweepSpec, seed: int, op, y) -> SolverConfig:
+def point_config(spec: SweepSpec, seed: int, op=None, y=None) -> SolverConfig:
     """ScaledGD(lambda)'s SolverConfig at one point, for the sweeps and
-    `scaledgd run`.  lambda is estimated at spec.damping_frac of the r*-th
-    eigenvalue of A*(y) when spec.lam is "auto"; the init seed is derived
-    from `seed`."""
-    lam = (estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
-           if spec.lam == "auto" else float(spec.lam))
+    `scaledgd run`.  When spec.lam is "auto", lambda is estimated at
+    spec.damping_frac of the r*-th eigenvalue of A*(y), and is 0 without an
+    instance; the init seed is derived from `seed`."""
+    lam = 0.0 if spec.lam == "auto" else float(spec.lam)
+    if spec.lam == "auto" and op is not None:
+        lam = estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
     stop = StoppingRule(target_rel_err=spec.target_rel_err, patience=spec.patience,
                         improve_tol=spec.improve_tol)
     return SolverConfig(algorithm="scaled_gd_lambda", r=spec.r, eta=spec.eta,
@@ -208,14 +209,13 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
                value) -> list[ExperimentRecord]:
     """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
     on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row.
-    The runs of a point share its operator and advance in lockstep
-    (run_batch)."""
+    The configs are built first, so a bad setting builds no operator.  The
+    runs of a point share its operator and advance in lockstep (run_batch)."""
     if spec.axis == "rank_r":
         value = int(value)
     seed = derive_seed(spec.master_seed, axis_index, trial)
     point = replace(spec, **{AXES[spec.axis]: value})
-    gt, op, y = point_instance(point, seed)
-    cfg = point_config(point, seed, op, y)
+    cfg = point_config(point, seed)
     configs = [cfg]
     if spec.axis == "kappa":
         gd_iters = spec.gd_max_iters if spec.gd_max_iters is not None \
@@ -224,6 +224,9 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
                     for eta in spec.gd_tuning]
     elif spec.axis == "rank_r":
         configs.append(replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral"))
+    gt, op, y = point_instance(point, seed)
+    if point.lam == "auto":
+        configs[0] = point_config(point, seed, op, y)
     rows = [_row(spec, value, trial, config, traj)
             for config, traj in zip(configs, run_batch(op, y, configs, oracle=gt))]
     if spec.axis == "kappa" and spec.gd_tuning:  # GD at its best step size

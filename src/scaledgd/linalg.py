@@ -16,8 +16,6 @@ def orthonormal_complement(u: np.ndarray) -> np.ndarray:
     gram_err = np.abs(np.swapaxes(u, -1, -2) @ u - np.eye(k)).max() if k else 0.0
     if gram_err > 1e-10:
         raise ValueError("input columns are not orthonormal (or rank deficient)")
-    if k == n:
-        return np.empty((*lead, n, 0))
     eye = np.broadcast_to(np.eye(n), (*lead, n, n))
     q, _ = np.linalg.qr(np.concatenate([u, eye], axis=-1), mode="complete")
     comp = q[..., k:n]

@@ -25,7 +25,15 @@ from .diagnostics import decompose_iterate, phase_metrics, rel_err_op
 from .problem import dense_m_star
 from .sensing import SensingOperator
 
-ALGORITHMS = ("scaled_gd_lambda", "gd", "scaled_gd", "prec_gd")
+# lambda_t per algorithm, from the config and the current loss f; None means
+# no preconditioner (plain GD)
+_DAMPING = {
+    "scaled_gd_lambda": lambda config, f: config.lam,
+    "gd": lambda config, f: None,
+    "scaled_gd": lambda config, f: 0.0,
+    "prec_gd": lambda config, f: np.sqrt(f),
+}
+ALGORITHMS = tuple(_DAMPING)
 
 _INIT_STREAM = 0
 DIVERGENCE_FACTOR = 1e6
@@ -35,10 +43,6 @@ DIVERGENCE_FACTOR = 1e6
 # floor at m = 10 n r*.
 DAMPING_FRAC = 0.05
 _RECORD_CHUNK = 16  # queued records whose oracle metrics go in one stacked call
-
-
-class PreconditionerError(np.linalg.LinAlgError):
-    """X^T X + lambda_t I is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class SolverConfig:
     eta: float
     lam: float = 0.0
     alpha: float = 1e-9
-    init: str = "small_random"        # small_random | spectral | explicit
+    init: str = "small_random"        # a key of _INITS
     x0: np.ndarray | None = None      # used when init == "explicit"
     max_iters: int = 1000
     stop: StoppingRule = field(default_factory=lambda: StoppingRule(patience=100))
@@ -78,8 +82,10 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _DAMPING:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.init not in _INITS:
+            raise ValueError(f"unknown init {self.init!r}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.eta <= 0:
@@ -127,25 +133,17 @@ class Trajectory:
 
 # -- steps --------------------------------------------------------------------
 
-def _solve_preconditioner(x: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
-    """grad @ (x^T x + lam I)^{-1}: Cholesky factor L of the r x r system, then
-    two solves, L z = grad^T and L^T w = z."""
-    r = x.shape[1]
-    system = x.T @ x + lam * np.eye(r)
-    try:
-        chol = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionerError("preconditioner singular; use lambda > 0") from exc
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad.T)).T
-
-
 def step_gd(x: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     return x - eta * grad
 
 
 def step_scaled_gd_lambda(x: np.ndarray, grad: np.ndarray, eta: float,
                           lam: float) -> np.ndarray:
-    return x - eta * _solve_preconditioner(x, grad, lam)
+    """x - eta grad (x^T x + lam I)^{-1}: Cholesky factor L of the r x r
+    system, then two solves, L z = grad^T and L^T w = z.  numpy's
+    cholesky raises LinAlgError when the system is not positive definite."""
+    chol = np.linalg.cholesky(x.T @ x + lam * np.eye(x.shape[1]))
+    return x - eta * np.linalg.solve(chol.T, np.linalg.solve(chol, grad.T)).T
 
 
 def step_scaled_gd(x: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -156,7 +154,7 @@ def step_prec_gd(x: np.ndarray, grad: np.ndarray, eta: float,
                  current_loss: float) -> np.ndarray:
     if current_loss < 0:
         raise ValueError("loss must be >= 0")
-    return x - eta * _solve_preconditioner(x, grad, np.sqrt(current_loss))
+    return step_scaled_gd_lambda(x, grad, eta, np.sqrt(current_loss))
 
 
 # -- initialization ------------------------------------------------------------
@@ -199,23 +197,12 @@ def estimate_damping(op: SensingOperator, y: np.ndarray, rank_guess: int,
 
 # -- run loop -------------------------------------------------------------------
 
-def _make_x0(op, y, config):
-    if config.init == "small_random":
-        return random_init(op.n, config.r, config.alpha, config.seed_init)
-    if config.init == "spectral":
-        return spectral_init(op, y, config.r)
-    if config.init == "explicit":
-        return np.array(config.x0, dtype=float)
-    raise ValueError(f"unknown init {config.init!r}")
-
-
-# lambda_t per algorithm, from the config and the current loss f; None means
-# no preconditioner (plain GD)
-_DAMPING = {
-    "gd": lambda config, f: None,
-    "scaled_gd": lambda config, f: 0.0,
-    "scaled_gd_lambda": lambda config, f: config.lam,
-    "prec_gd": lambda config, f: np.sqrt(f),
+# X0 per init, from the operator, y and the config
+_INITS = {
+    "small_random": lambda op, y, config: random_init(op.n, config.r, config.alpha,
+                                                      config.seed_init),
+    "spectral": lambda op, y, config: spectral_init(op, y, config.r),
+    "explicit": lambda op, y, config: np.array(config.x0, dtype=float),
 }
 
 
@@ -229,14 +216,13 @@ class _Run:
             raise ValueError("diagnostics need an oracle")
         if collect_diagnostics and config.r < oracle.r_star:
             raise ValueError(f"diagnostics need r >= r* = {oracle.r_star}, got r = {config.r}")
-        self.x = _make_x0(op, y, config)
+        self.x = _INITS[config.init](op, y, config)
         if self.x.shape != (op.n, config.r):
             raise ValueError(f"x0 shape {self.x.shape} does not match (n, r)")
         self.config, self.oracle = config, oracle
         self.diagnostics = collect_diagnostics
         if oracle is not None:
             self.m_star, self.norm_m = dense_m_star(oracle), oracle.spectral_norm_m()
-        self.damping = _DAMPING[config.algorithm]
         self.records = []
         self.queue = []  # (t, loss, rel_err_fro, elapsed_ms, x) of unmade records
         self.loss0 = None
@@ -282,13 +268,13 @@ class _Run:
             self._finish(stop_reason, t, cur_loss, start)
             return
 
-        lam_t = self.damping(config, cur_loss)
+        lam_t = _DAMPING[config.algorithm](config, cur_loss)
         if lam_t is None:
             self.x = step_gd(x, w @ x, config.eta)
         else:
             try:
                 self.x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
-            except PreconditionerError:
+            except np.linalg.LinAlgError:
                 self._finish("preconditioner_singular", t, cur_loss, start)
 
     def _flush(self):

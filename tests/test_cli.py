@@ -3,6 +3,7 @@ import csv
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scaledgd import __version__
@@ -239,6 +240,19 @@ def test_run_divergence_writes_partial_trajectory(tmp_path, capsys):
     assert float(meta["final_loss"]) > 1e6 * float(rows[1][1])
 
 
+def test_run_non_finite_loss_says_so(tmp_path, capsys):
+    # noise at 1e200 overflows the first loss: it is not finite, rather than
+    # past DIVERGENCE_FACTOR times itself; the CSV and sidecar are written
+    out = str(tmp_path / "inf.csv")
+    with np.errstate(over="ignore"):
+        assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--sigma", "1e200",
+                     "--patience", "5", "--out", out]) == 1
+    assert capsys.readouterr().err == "runtime error: loss inf is not finite at iteration 0\n"
+    assert _read_csv(out) == [list(TRAJECTORY_COLUMNS)]
+    meta = _read_meta(out + ".meta")
+    assert (meta["stop_reason"], meta["final_iter"], meta["final_loss"]) == ("diverged", "0", "inf")
+
+
 def test_run_singular_preconditioner_exits_1(tmp_path, capsys):
     # LinAlgError is a ValueError, but a preconditioner that turns singular
     # during a run is a runtime failure, not a flag or config error; as for a
@@ -449,8 +463,9 @@ def test_run_refuses_a_lambda_the_algorithm_ignores(tmp_path, capsys, algorithm)
 
 
 def test_lambda_refused_before_any_build(tmp_path, monkeypatch, capsys):
-    # the algorithm's config is built from the flags before the instance, so a
-    # lambda GD ignores exits 2 without an operator build (408 MB at paper-fig1)
+    # each run's config is built from the settings before the instance, so a
+    # setting SolverConfig refuses, such as a lambda GD ignores, exits 2
+    # without an operator build (408 MB at paper-fig1)
     builds = []
 
     def counting(n, m, seed):
@@ -462,8 +477,22 @@ def test_lambda_refused_before_any_build(tmp_path, monkeypatch, capsys):
         assert main(["run", *preset, "--algorithm", "gd", "--lambda", "0.01", "--n", "20",
                      "--r-star", "2", "--r", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: gd takes no fixed lambda; got lambda = 0.01\n"
+    for flags, message in ((["--eta", "0"], "eta must be > 0"),
+                           (["--r", "0"], "r must be >= 1"),
+                           (["--alpha", "0"], "alpha must be > 0"),
+                           (["--record-every", "0"], "record_every must be >= 1"),
+                           (["--patience", "0", "--target", "none"], "patience must be >= 1")):
+        assert main(["run", "--n", "30", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = tmp_path / "bad.cfg"
+    for text, message in (("axis = kappa\nvalues = 1,2\neta = 0", "eta must be > 0"),
+                          ("axis = kappa\nvalues = 1,2\ngd_tuning = 0.2,-1", "eta must be > 0"),
+                          ("axis = rank_r\nvalues = 0,3", "r must be >= 1")):
+        cfg.write_text(text + "\nn = 12\ntrials = 1\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert builds == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_negative_sigma_exits_2_before_any_build(tmp_path, monkeypatch, capsys):

@@ -10,11 +10,9 @@ import pytest
 from scaledgd import diagnostics, linalg, problem, solver
 from scaledgd.problem import dense_m_star, make_ground_truth
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
-from scaledgd.solver import (PreconditionerError, SolverConfig,
-                             StoppingRule, _solve_preconditioner,
-                             estimate_damping, random_init, run,
-                             run_batch, spectral_init, step_gd, step_prec_gd,
-                             step_scaled_gd, step_scaled_gd_lambda)
+from scaledgd.solver import (SolverConfig, StoppingRule, estimate_damping,
+                             random_init, run, run_batch, spectral_init, step_gd,
+                             step_prec_gd, step_scaled_gd, step_scaled_gd_lambda)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -498,16 +496,16 @@ def test_singular_preconditioner_flushes_its_queued_records(monkeypatch):
     # 16 records, and the five still queued are made at the stop
     gt, op, y, base = _kappa4_instance()
     config = replace(base, record_every=3)
-    solve = solver._solve_preconditioner
+    step = solver.step_scaled_gd_lambda
 
     def make_batch():
         steps = iter(range(61))
 
-        def failing(x, grad, lam):
+        def failing(x, grad, eta, lam):
             if next(steps) == 60:
-                raise PreconditionerError("singular")
-            return solve(x, grad, lam)
-        monkeypatch.setattr(solver, "_solve_preconditioner", failing)
+                raise np.linalg.LinAlgError("singular")
+            return step(x, grad, eta, lam)
+        monkeypatch.setattr(solver, "step_scaled_gd_lambda", failing)
         return run_batch(op, y, [config], oracle=gt, collect_diagnostics=True)
 
     ((reason, t, _, records),) = _assert_chunks_change_nothing(monkeypatch, make_batch)
@@ -519,7 +517,7 @@ def test_preconditioner_singularity():
     x = np.zeros((5, 2))
     x[:, 0] = 1.0  # rank deficient, X^T X singular
     g = np.ones((5, 2))
-    with pytest.raises(PreconditionerError):
+    with pytest.raises(np.linalg.LinAlgError):
         step_scaled_gd(x, g, 0.1)
     # positive damping repairs it
     step_scaled_gd_lambda(x, g, 0.1, 1e-3)
@@ -531,7 +529,7 @@ def test_solve_preconditioner_matches_dense_solve():
         x = gen.normal(size=(60, r))
         g = gen.normal(size=(60, r))
         for lam in (0.0, 0.05):
-            got = _solve_preconditioner(x, g, lam)
+            got = x - step_scaled_gd_lambda(x, g, 1.0, lam)
             want = np.linalg.solve(x.T @ x + lam * np.eye(r), g.T).T
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -573,6 +571,8 @@ def test_config_validation():
         SolverConfig(algorithm="gd", r=2, eta=0.1, lam=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd", r=2, eta=0.1, init="explicit")
+    with pytest.raises(ValueError, match="unknown init"):
+        SolverConfig(algorithm="gd", r=2, eta=0.1, init="bogus")
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd", r=2, eta=0.1, alpha=0.0)
     with pytest.raises(ValueError):
