@@ -16,11 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, point_instance,
-                          preset_spec, run_sweep)
+from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, preset_spec,
+                          run_point, run_sweep)
 from .rng import derive_seed
 from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
-from .solver import ALGORITHMS, DIVERGENCE_FACTOR, run
+from .solver import ALGORITHMS, DIVERGENCE_FACTOR
 
 
 def _write_sidecar(path: str, settings: dict) -> None:
@@ -93,13 +93,11 @@ def _run_spec(args) -> SweepSpec:
     # on the kappa axis from the start: fig-alpha's axis would drop a --target
     fields = dict(_spec_fields(args), axis="kappa", values=(0,))
     if args.preset:
-        spec = preset_spec(args.preset, **fields)
-    else:
-        fields = {"target_rel_err": None, "max_iters": 1500, **fields}
-        if fields["target_rel_err"] is None:
-            fields.setdefault("patience", 100)
-        spec = SweepSpec(**fields)
-    return replace(spec, values=(spec.kappa,))
+        return preset_spec(args.preset, **fields)
+    fields = {"target_rel_err": None, "max_iters": 1500, **fields}
+    if fields["target_rel_err"] is None:
+        fields.setdefault("patience", 100)
+    return SweepSpec(**fields)
 
 
 def cmd_run(args) -> int:
@@ -108,26 +106,21 @@ def cmd_run(args) -> int:
     spec = _run_spec(args)
     seed = spec.master_seed
     # The config is built before the instance, so SolverConfig checks every
-    # setting before the operator is built.  ScaledGD(lambda) then estimates an
-    # auto lambda at r* as the sweeps do; the other algorithms are undamped.
-    flags = dict(algorithm=args.algorithm.replace("-", "_"), init=args.init.replace("-", "_"))
-    base = point_config(spec, seed)
-    config = replace(base, **flags)
-    if config.algorithm != base.algorithm:
-        spec = replace(spec, lam=0.0)
-    gt, op, y = point_instance(
-        spec, seed, identity_operator(spec.n) if args.operator == "identity" else None)
-    if spec.lam == "auto":
-        config = replace(point_config(spec, seed, op, y), **flags)
-
-    traj = run(op, y, config, oracle=gt, collect_diagnostics=args.diagnostics)
+    # setting before the operator is built; run_point sets an auto lambda.
+    config = replace(point_config(spec, seed), algorithm=args.algorithm.replace("-", "_"),
+                     init=args.init.replace("-", "_"))
+    op = identity_operator(spec.n) if args.operator == "identity" else None
+    [(config, traj)] = run_point(spec, seed, [config], op,
+                                 collect_diagnostics=args.diagnostics)
     final = traj.final_state
     emit_csv(traj, args.out)
     _write_sidecar(args.out, {
         "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
-        "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa, "m": op.m,
+        "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa,
+        "m": spec.measurements if op is None else op.m,
         "operator": args.operator, "eta": spec.eta, "lambda": config.lam,
-        "damping_frac": spec.damping_frac if spec.lam == "auto" else None,
+        "damping_frac": (spec.damping_frac if spec.lam == "auto"
+                         and config.algorithm == "scaled_gd_lambda" else None),
         "alpha": spec.alpha, "init": args.init, "sigma": spec.sigma, "seed": seed,
         "target": spec.target_rel_err, "patience": spec.patience,
         "improve_tol": spec.improve_tol, "max_iters": spec.max_iters,

@@ -70,6 +70,8 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         if self.axis == "rank_r" and not all(float(v).is_integer() for v in vals):
             raise ValueError(f"rank_r values must be integers, got {vals}")
+        if self.axis == "rank_r" and vals[-1] > self.n:  # PrecGD's spectral init
+            raise ValueError(f"rank_r values must be <= n = {self.n}, got {vals}")
         if self.axis == "alpha":  # it measures final errors, so patience alone stops
             if self.patience is None:
                 raise ValueError("alpha sweep uses the patience (early stopping) rule")
@@ -179,38 +181,44 @@ def _row(spec, axis_value, trial, config, traj: Trajectory) -> ExperimentRecord:
                             traj.final_state.elapsed_ns / 1e6)
 
 
-def point_instance(spec: SweepSpec, seed: int, op=None):
-    """(truth, operator, y) of one point, for the sweeps and `scaledgd run`:
-    the truth, the Gaussian operator (unless `op` is given) and the noise are
-    drawn from seeds derived from `seed`."""
-    gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
-    if op is None:
-        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
-    return gt, op, measure(op, gt, spec.sigma, derive_seed(seed, TAG_NOISE)).y
-
-
-def point_config(spec: SweepSpec, seed: int, op=None, y=None) -> SolverConfig:
+def point_config(spec: SweepSpec, seed: int) -> SolverConfig:
     """ScaledGD(lambda)'s SolverConfig at one point, for the sweeps and
-    `scaledgd run`.  When spec.lam is "auto", lambda is estimated at
-    spec.damping_frac of the r*-th eigenvalue of A*(y), and is 0 without an
-    instance; the init seed is derived from `seed`."""
-    lam = 0.0 if spec.lam == "auto" else float(spec.lam)
-    if spec.lam == "auto" and op is not None:
-        lam = estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
+    `scaledgd run`, from the settings alone: an auto lambda is 0 here, and
+    run_point sets it.  The init seed is derived from `seed`."""
     stop = StoppingRule(target_rel_err=spec.target_rel_err, patience=spec.patience,
                         improve_tol=spec.improve_tol)
     return SolverConfig(algorithm="scaled_gd_lambda", r=spec.r, eta=spec.eta,
-                        lam=lam, alpha=spec.alpha, max_iters=spec.max_iters, stop=stop,
+                        lam=0.0 if spec.lam == "auto" else float(spec.lam),
+                        alpha=spec.alpha, max_iters=spec.max_iters, stop=stop,
                         seed_init=derive_seed(seed, TAG_INIT),
                         record_every=spec.record_every)
 
 
-def _run_point(spec: SweepSpec, axis_index: int, trial: int,
-               value) -> list[ExperimentRecord]:
-    """Build the instance at one (axis value, trial) and run ScaledGD(lambda)
-    on it; the kappa axis adds the tuned GD row, the rank axis the PrecGD row.
-    The configs are built first, so a bad setting builds no operator.  The
-    runs of a point share its operator and advance in lockstep (run_batch)."""
+def run_point(spec: SweepSpec, seed: int, configs, op=None,
+              collect_diagnostics: bool = False) -> list:
+    """Draw one point's instance and run `configs` on it in lockstep
+    (run_batch), for the sweeps and `scaledgd run`.  The truth, the Gaussian
+    operator (unless `op` is given) and the noise are drawn, in that order,
+    from seeds derived from `seed`.  When spec.lam is "auto", every
+    ScaledGD(lambda) config gets lambda at spec.damping_frac of the r*-th
+    eigenvalue of A*(y).  Returns (config as run, trajectory) per config."""
+    gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
+    if op is None:
+        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
+    y = measure(op, gt, spec.sigma, derive_seed(seed, TAG_NOISE)).y
+    if spec.lam == "auto" and any(c.algorithm == "scaled_gd_lambda" for c in configs):
+        lam = estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat
+        configs = [replace(c, lam=lam) if c.algorithm == "scaled_gd_lambda" else c
+                   for c in configs]
+    return list(zip(configs, run_batch(op, y, configs, oracle=gt,
+                                       collect_diagnostics=collect_diagnostics)))
+
+
+def _sweep_point(spec: SweepSpec, axis_index: int, trial: int,
+                 value) -> list[ExperimentRecord]:
+    """Run ScaledGD(lambda) at one (axis value, trial); the kappa axis adds
+    the tuned GD row, the rank axis the PrecGD row.  The configs are built
+    first, so a bad setting builds no operator."""
     if spec.axis == "rank_r":
         value = int(value)
     seed = derive_seed(spec.master_seed, axis_index, trial)
@@ -224,11 +232,8 @@ def _run_point(spec: SweepSpec, axis_index: int, trial: int,
                     for eta in spec.gd_tuning]
     elif spec.axis == "rank_r":
         configs.append(replace(cfg, algorithm="prec_gd", lam=0.0, init="spectral"))
-    gt, op, y = point_instance(point, seed)
-    if point.lam == "auto":
-        configs[0] = point_config(point, seed, op, y)
     rows = [_row(spec, value, trial, config, traj)
-            for config, traj in zip(configs, run_batch(op, y, configs, oracle=gt))]
+            for config, traj in run_point(point, seed, configs)]
     if spec.axis == "kappa" and spec.gd_tuning:  # GD at its best step size
         rows = [rows[0], min(rows[1:], key=_gd_rank_key)]
     return rows
@@ -245,7 +250,7 @@ def _sweep(spec: SweepSpec, axis: str) -> list[ExperimentRecord]:
         raise ValueError(f"axis must be {axis!r}")
     return [rec for ai, value in enumerate(spec.values)
             for trial in range(spec.trials)
-            for rec in _run_point(spec, ai, trial, value)]
+            for rec in _sweep_point(spec, ai, trial, value)]
 
 
 def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:

@@ -112,8 +112,10 @@ class SensingOperator:
         if x.ndim == 2:
             f, w = self.residual_grad(x[None], y)
             return float(f[0]), w[0]
-        resid = self.apply_forward(x @ np.swapaxes(x, 1, 2)) - y
-        return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
+        # an overflow makes a loss inf, which is the run's `diverged` stop
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = self.apply_forward(x @ np.swapaxes(x, 1, 2)) - y
+            return 0.25 * np.array([row @ row for row in resid]), self.apply_adjoint(resid)
 
 
 def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:

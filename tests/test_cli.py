@@ -1,15 +1,15 @@
 import argparse
 import csv
 import shlex
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from scaledgd import __version__
 from scaledgd.cli import _spec_fields, _sweep_spec_from_config, build_parser, main
 from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
-                                  preset_spec)
+                                  preset_spec, run_sweep)
 from scaledgd.problem import make_ground_truth
 from scaledgd.rng import derive_seed
 from scaledgd.sensing import gaussian_operator, identity_operator, measure
@@ -77,6 +77,30 @@ def test_run_estimates_lambda_with_sweep_fraction(tmp_path, extra):
     y = measure(op, gt, 0.0, derive_seed(4, 4)).y
     assert float(meta["damping_frac"]) == 0.05
     assert float(meta["lambda"]) == estimate_damping(op, y, 2, c_frac=0.05).lambda_hat
+
+
+def test_only_scaled_gd_lambda_gets_the_auto_lambda(tmp_path, monkeypatch):
+    # an auto lambda is estimated once per point that runs ScaledGD(lambda);
+    # a run of another algorithm is undamped and estimates nothing
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return estimate_damping(*args, **kwargs)
+    monkeypatch.setattr("scaledgd.experiments.estimate_damping", counting)
+    out = str(tmp_path / "t.csv")
+    flags = ["--n", "20", "--r-star", "2", "--r", "3", "--patience", "50", "--out", out]
+    assert main(["run", "--algorithm", "gd", *flags]) == 0
+    meta = _read_meta(out + ".meta")
+    assert (len(calls), meta["lambda"], meta["damping_frac"]) == (0, "0.0", "None")
+    assert main(["run", *flags]) == 0
+    meta = _read_meta(out + ".meta")
+    assert (len(calls), meta["damping_frac"]) == (1, "0.05")
+    assert float(meta["lambda"]) > 0
+    calls.clear()
+    run_sweep(SweepSpec(axis="kappa", values=(1, 2), n=12, r_star=2, r=3, max_iters=50,
+                        gd_tuning=(0.2,), trials=1))
+    assert len(calls) == 2
 
 
 def test_run_preset_overridable(tmp_path, capsys):
@@ -242,9 +266,11 @@ def test_run_divergence_writes_partial_trajectory(tmp_path, capsys):
 
 def test_run_non_finite_loss_says_so(tmp_path, capsys):
     # noise at 1e200 overflows the first loss: it is not finite, rather than
-    # past DIVERGENCE_FACTOR times itself; the CSV and sidecar are written
+    # past DIVERGENCE_FACTOR times itself; the CSV and sidecar are written,
+    # and the overflow raises no numpy warning on the way
     out = str(tmp_path / "inf.csv")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--sigma", "1e200",
                      "--patience", "5", "--out", out]) == 1
     assert capsys.readouterr().err == "runtime error: loss inf is not finite at iteration 0\n"
@@ -487,7 +513,11 @@ def test_lambda_refused_before_any_build(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
     for text, message in (("axis = kappa\nvalues = 1,2\neta = 0", "eta must be > 0"),
                           ("axis = kappa\nvalues = 1,2\ngd_tuning = 0.2,-1", "eta must be > 0"),
-                          ("axis = rank_r\nvalues = 0,3", "r must be >= 1")):
+                          ("axis = rank_r\nvalues = 0,3", "r must be >= 1"),
+                          # PrecGD's spectral init needs r <= n
+                          ("axis = rank_r\nvalues = 3,13\nr_star = 2",
+                           "bad sweep configuration: rank_r values must be <= n = 12, "
+                           "got (3.0, 13.0)")):
         cfg.write_text(text + "\nn = 12\ntrials = 1\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

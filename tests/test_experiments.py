@@ -242,9 +242,9 @@ def test_diverged_row_has_sentinel_fields():
     assert np.isnan(gd.final_rel_err_fro) and np.isnan(gd.final_rel_err_op)
 
 
-def _one_at_a_time(op, y, configs, oracle=None):
+def _one_at_a_time(op, y, configs, oracle=None, collect_diagnostics=False):
     # run_batch's contract, one configuration at a time through run()
-    return [run(op, y, config, oracle=oracle) for config in configs]
+    return [run(op, y, config, oracle, collect_diagnostics) for config in configs]
 
 
 @pytest.mark.parametrize("spec", [

@@ -31,9 +31,8 @@ CALLERS = sorted((ROOT / "benchmarks").glob("*.py")) + [ROOT / "tests" / "test_a
 # definitions with no caller, kept on purpose
 UNCALLED_OK = {
     "sensing.SensingOperator.row_svec": "the documented reference for operator row i",
-    "problem.make_approx_truth": "the approximately low-rank truth of the claims "
-                                 "ledger's tail-decay check",
-    "problem.GroundTruth.x_star": "the planted factor, for the same check",
+    "problem.GroundTruth.x_star": "the planted factor X*, kept for the claims "
+                                  "ledger's checks",
 }
 # fields and attributes nothing reads, kept on purpose
 UNREAD_OK = {}
