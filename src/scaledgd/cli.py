@@ -107,25 +107,22 @@ def cmd_run(args) -> int:
     seed = spec.master_seed
     # The config is built before the instance, so SolverConfig checks every
     # setting before the operator is built; run_point sets an auto lambda.
-    config = replace(point_config(spec, seed), algorithm=args.algorithm.replace("-", "_"),
-                     init=args.init.replace("-", "_"))
+    planned = replace(point_config(spec, seed), algorithm=args.algorithm.replace("-", "_"),
+                      init=args.init.replace("-", "_"))
     op = identity_operator(spec.n) if args.operator == "identity" else None
-    [(config, traj)] = run_point(spec, seed, [config], op,
+    [(config, traj)] = run_point(spec, seed, [planned], op,
                                  collect_diagnostics=args.diagnostics)
     final = traj.final_state
     emit_csv(traj, args.out)
+    # a key per setting flag; damping_frac is set when run_point set an auto lambda
     _write_sidecar(args.out, {
-        "kind": "trajectory", "algorithm": args.algorithm, "n": spec.n,
-        "r_star": spec.r_star, "r": spec.r, "kappa": spec.kappa,
-        "m": spec.measurements if op is None else op.m,
-        "operator": args.operator, "eta": spec.eta, "lambda": config.lam,
-        "damping_frac": (spec.damping_frac if spec.lam == "auto"
-                         and config.algorithm == "scaled_gd_lambda" else None),
-        "alpha": spec.alpha, "init": args.init, "sigma": spec.sigma, "seed": seed,
-        "target": spec.target_rel_err, "patience": spec.patience,
-        "improve_tol": spec.improve_tol, "max_iters": spec.max_iters,
-        "record_every": spec.record_every, "stop_reason": traj.stop_reason,
-        "final_iter": final.t, "final_loss": final.loss, "version": __version__,
+        **{flag[2:].replace("-", "_"): getattr(spec, field)
+           for flag, field, _ in _RUN_SETTINGS},
+        "m": spec.measurements if op is None else op.m, "lambda": config.lam,
+        "damping_frac": spec.damping_frac if config.lam != planned.lam else None,
+        "kind": "trajectory", "algorithm": args.algorithm, "operator": args.operator,
+        "init": args.init, "stop_reason": traj.stop_reason, "final_iter": final.t,
+        "final_loss": final.loss, "version": __version__,
     })
     if traj.stop_reason not in ("diverged", "preconditioner_singular"):
         print(f"stop={traj.stop_reason} iters={final.t} loss={final.loss:.3e} "

@@ -68,6 +68,9 @@ class SweepSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", vals)
+        for key, value in vars(self).items():  # nan and inf pass every range check
+            if any(isinstance(v, float) and not np.isfinite(v) for v in np.ravel(value)):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.axis == "rank_r" and not all(float(v).is_integer() for v in vals):
             raise ValueError(f"rank_r values must be integers, got {vals}")
         if self.axis == "rank_r" and vals[-1] > self.n:  # PrecGD's spectral init
@@ -76,8 +79,7 @@ class SweepSpec:
             if self.patience is None:
                 raise ValueError("alpha sweep uses the patience (early stopping) rule")
             object.__setattr__(self, "target_rel_err", None)
-        if self.target_rel_err is None and self.patience is None:
-            raise ValueError("enable a stopping rule (target_rel_err or patience)")
+        StoppingRule(self.target_rel_err, self.patience, self.improve_tol)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if min((self.sigma, *(vals if self.axis == "noise_sigma" else ()))) < 0:
@@ -185,11 +187,10 @@ def point_config(spec: SweepSpec, seed: int) -> SolverConfig:
     """ScaledGD(lambda)'s SolverConfig at one point, for the sweeps and
     `scaledgd run`, from the settings alone: an auto lambda is 0 here, and
     run_point sets it.  The init seed is derived from `seed`."""
-    stop = StoppingRule(target_rel_err=spec.target_rel_err, patience=spec.patience,
-                        improve_tol=spec.improve_tol)
     return SolverConfig(algorithm="scaled_gd_lambda", r=spec.r, eta=spec.eta,
                         lam=0.0 if spec.lam == "auto" else float(spec.lam),
-                        alpha=spec.alpha, max_iters=spec.max_iters, stop=stop,
+                        alpha=spec.alpha, max_iters=spec.max_iters,
+                        stop=StoppingRule(spec.target_rel_err, spec.patience, spec.improve_tol),
                         seed_init=derive_seed(seed, TAG_INIT),
                         record_every=spec.record_every)
 
@@ -201,7 +202,14 @@ def run_point(spec: SweepSpec, seed: int, configs, op=None,
     operator (unless `op` is given) and the noise are drawn, in that order,
     from seeds derived from `seed`.  When spec.lam is "auto", every
     ScaledGD(lambda) config gets lambda at spec.damping_frac of the r*-th
-    eigenvalue of A*(y).  Returns (config as run, trajectory) per config."""
+    eigenvalue of A*(y).  Returns (config as run, trajectory) per config.
+    Diagnostics with r < r* and a spectral init with r > n are refused
+    before anything is drawn."""
+    for c in configs:
+        if collect_diagnostics and c.r < spec.r_star:
+            raise ValueError(f"diagnostics need r >= r* = {spec.r_star}, got r = {c.r}")
+        if c.init == "spectral" and c.r > spec.n:
+            raise ValueError("r exceeds ambient dimension")
     gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
     if op is None:
         op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line to the terminal (bypassing pytest
 capture) so the outcome per criterion is visible in any log. The suite is
-slow (paper scale, n = 150, m = 4500): criteria 1-4, 6 and 7 carry the `slow`
+slow (paper scale, n = 150, m = 4500): criteria 1-4 and 6-8 carry the `slow`
 marker, so `pytest -m "not slow"` gives fast feedback.
 """
 
@@ -320,3 +320,25 @@ def test_criterion_7_approx_low_rank(capsys):
             f"worst ||XX^T - M*||_F / ||M* - M*_r*||_F = {worst:.3f} (<= {factor:g}); "
             + ", ".join(f"decay={d:g} s={s}: {ratio:.3f} ({reason})"
                         for d, s, reason, ratio in results))
+
+
+@pytest.mark.slow
+def test_criterion_8_log_n_iterations(capsys):
+    # the abstract's iteration count logarithmic in the dimension n: from
+    # n = 30 to 150, a count of the form a + b ln n grows by at most
+    # ln 150 / ln 30, so ScaledGD(lambda)'s max/min count per kappa must stay
+    # within it (growth like sqrt(n) would give 2.24), and every run must
+    # reach the target (_spread is inf otherwise); the bound was fixed before
+    # any judged run
+    ns = (30, 60, 100, 150)
+    bound = np.log(ns[-1]) / np.log(ns[0])
+    recs = {n: run_sweep(preset_spec("ci-small", n=n, values=(2, 7), gd_tuning=(),
+                                     trials=2, master_seed=5)) for n in ns}
+    ratios = {kappa: _spread([r for n in ns for r in recs[n] if r.axis_value == kappa])
+              for kappa in (2, 7)}
+    ok = all(ratio <= bound for ratio in ratios.values())
+    _report(capsys, "criterion 8 (iterations logarithmic in n)", ok,
+            f"c = ln {ns[-1]} / ln {ns[0]} = {bound:.3f}; "
+            + "; ".join(f"kappa={kappa}: max/min={ratio:.3f} (<= c)"
+                        for kappa, ratio in ratios.items()) + "; iters "
+            + ", ".join(f"n={n}: {[r.iters_to_target for r in recs[n]]}" for n in ns))

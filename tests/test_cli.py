@@ -1,6 +1,7 @@
 import argparse
 import csv
 import shlex
+import typing
 import warnings
 from pathlib import Path
 
@@ -510,6 +511,14 @@ def test_lambda_refused_before_any_build(tmp_path, monkeypatch, capsys):
                            (["--patience", "0", "--target", "none"], "patience must be >= 1")):
         assert main(["run", "--n", "30", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # run_point checks the configs' instance rules before it draws the truth
+    for flags, message in (
+            ("--algorithm prec-gd --init spectral --n 10 --r-star 2 --r 14",
+             "r exceeds ambient dimension"),
+            ("--n 10 --r-star 2 --r 1 --kappa 2 --patience 20 --diagnostics",
+             "diagnostics need r >= r* = 2, got r = 1")):
+        assert main(["run", *flags.split(), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     cfg = tmp_path / "bad.cfg"
     for text, message in (("axis = kappa\nvalues = 1,2\neta = 0", "eta must be > 0"),
                           ("axis = kappa\nvalues = 1,2\ngd_tuning = 0.2,-1", "eta must be > 0"),
@@ -537,6 +546,38 @@ def test_negative_sigma_exits_2_before_any_build(tmp_path, monkeypatch, capsys):
     cfg.write_text("axis = noise_sigma\nvalues = -0.01,0.01\nn = 20\ntrials = 1\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert "noise sigma must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# the SweepSpec fields that hold floats, one or a tuple of them
+_FLOAT_FIELDS = [key for key, hint in typing.get_type_hints(SweepSpec).items()
+                 if {float, tuple} & set(typing.get_args(hint) or (hint,))]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_non_finite_setting_exits_2_before_any_build(tmp_path, monkeypatch, capsys, text):
+    # nan passes every range check and inf most; `measure` adds no noise for a
+    # sigma that is not > 0, so `--sigma nan` would run noiseless
+    builds = []
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator",
+                        lambda *args: builds.append(args))
+    out = tmp_path / "x.csv"
+    run_flags = [(flag, field) for command, flag, field in _setting_flags()
+                 if command == "run" and field in _FLOAT_FIELDS]
+    assert len(run_flags) == 7 and len(_FLOAT_FIELDS) == 10
+    for flag, field in run_flags:
+        assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--patience", "5",
+                     flag, text, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {text}\n"
+    cfg = tmp_path / "bad.cfg"
+    for field in _FLOAT_FIELDS:
+        lines = {"axis": "kappa", "values": "1,2", "n": "10", "trials": "1",
+                 field: {"values": f"1,{text}", "gd_tuning": f"0.2,{text}"}.get(field, text)}
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad sweep configuration: {field} must be finite, got ")
+    assert builds == []
     assert list(tmp_path.iterdir()) == [cfg]
 
 

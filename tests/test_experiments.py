@@ -1,4 +1,6 @@
 import csv
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scaledgd import experiments
 from scaledgd.experiments import (PRESETS, SENTINEL_ITERS, SWEEP_COLUMNS,
                                   TRAJECTORY_COLUMNS, SweepSpec, emit_csv,
                                   fit_loglog_slope, minimax_reference,
-                                  preset_spec, run_sweep)
+                                  point_config, preset_spec, run_point, run_sweep)
 from scaledgd.problem import make_ground_truth
 from scaledgd.sensing import gaussian_operator, measure
 from scaledgd.solver import SolverConfig, StoppingRule, run
@@ -267,3 +269,20 @@ def test_point_rows_match_runs_alone(monkeypatch, spec):
         for got, want in ((b.final_rel_err_fro, a.final_rel_err_fro),
                           (b.final_rel_err_op, a.final_rel_err_op)):
             assert abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
+
+
+def test_run_point_checks_instance_rules_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the truth was drawn")
+    monkeypatch.setattr(experiments, "make_ground_truth", no_draw)
+    spec = SweepSpec(axis="kappa", values=(0,), n=10, r_star=2, r=14,
+                     target_rel_err=None, patience=5, trials=1)
+    cfg = point_config(spec, 0)
+    with pytest.raises(ValueError, match="^r exceeds ambient dimension$"):
+        run_point(spec, 0, [cfg, replace(cfg, init="spectral")])
+    with pytest.raises(ValueError, match=re.escape("diagnostics need r >= r* = 2, got r = 1")):
+        run_point(spec, 0, [replace(cfg, r=1)], collect_diagnostics=True)
+    monkeypatch.undo()
+    # a small random init takes any r
+    [(_, traj)] = run_point(spec, 0, [cfg])
+    assert traj.stop_reason == "patience"
