@@ -86,6 +86,8 @@ class SweepSpec:
             raise ValueError("noise sigma must be >= 0")
         if isinstance(self.lam, str) and self.lam != "auto":
             raise ValueError(f"lam must be a number or 'auto', got {self.lam!r}")
+        if self.damping_frac <= 0:  # an auto lambda of 0 or less runs undamped or fails
+            raise ValueError(f"damping_frac must be > 0, got {self.damping_frac}")
 
     @property
     def measurements(self) -> int:
@@ -131,19 +133,15 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 # Named sweep configurations.  The paper-scale presets (n = 150, m = 4500)
 # run in minutes; ci-small covers the same condition-number comparison at
-# desk scale in seconds.
+# desk scale in seconds.  Each preset states only the settings in which it
+# differs from SweepSpec's defaults.
 PRESETS: dict[str, dict] = {
     "paper-fig1": dict(axis="kappa", values=(1, 2, 3, 4, 5, 6, 7), n=150,
-                       r_star=3, r=5, eta=0.3, alpha=1e-27, target_rel_err=1e-9,
-                       max_iters=2000, gd_tuning=(0.2, 0.4, 0.6),
-                       gd_max_iters=3000, trials=1),
-    "ci-small": dict(axis="kappa", values=(1, 2, 3, 4, 5, 6, 7), n=60,
-                     r_star=3, r=5, eta=0.3, alpha=1e-27, target_rel_err=1e-9,
-                     max_iters=1500, gd_tuning=(0.2, 0.4, 0.6),
-                     gd_max_iters=1500, trials=1),
-    "fig-alpha": dict(axis="alpha", values=(1e-12, 1e-10, 1e-8, 1e-6), n=60,
-                      r_star=3, r=5, eta=0.3, target_rel_err=None,
-                      patience=100, max_iters=3000, trials=1,
+                       gd_tuning=(0.2, 0.4, 0.6), gd_max_iters=3000, trials=1),
+    "ci-small": dict(axis="kappa", values=(1, 2, 3, 4, 5, 6, 7), max_iters=1500,
+                     gd_tuning=(0.2, 0.4, 0.6), gd_max_iters=1500, trials=1),
+    "fig-alpha": dict(axis="alpha", values=(1e-12, 1e-10, 1e-8, 1e-6),
+                      target_rel_err=None, patience=100, max_iters=3000, trials=1,
                       # a larger damping keeps the per-iteration growth during
                       # incubation small, which preserves the separation
                       # between signal and surplus growth rates that makes the
@@ -151,13 +149,9 @@ PRESETS: dict[str, dict] = {
                       damping_frac=0.25),
     # At the fixed m = 10 n r_star, PrecGD's rate worsens as r grows (its
     # guarantee needs RIP at rank r) while ScaledGD(lambda)'s does not.
-    "fig-r": dict(axis="rank_r", values=(3, 5, 10, 20), n=150, r_star=3,
-                  eta=0.3, alpha=1e-27, target_rel_err=1e-9, max_iters=1500,
-                  trials=1),
+    "fig-r": dict(axis="rank_r", values=(3, 5, 10, 20), n=150, max_iters=1500, trials=1),
     "fig-noisy": dict(axis="noise_sigma", values=(1e-3, 1e-2, 1e-1), n=150,
-                      r_star=3, r=5, kappa=2.0, eta=0.3, alpha=1e-27,
-                      target_rel_err=None, patience=200, max_iters=1500,
-                      trials=1),
+                      target_rel_err=None, patience=200, max_iters=1500, trials=1),
 }
 
 

@@ -68,6 +68,8 @@ def make_ground_truth(n: int, r_star: int, kappa: float, seed: int) -> GroundTru
         raise ValueError("n must be positive")
     if not 1 <= r_star <= n:
         raise ValueError("require 1 <= r_star <= n")
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     g = rng.normals(seed, _FRAME_STREAM, n * r_star).reshape(n, r_star)

@@ -184,12 +184,16 @@ class Measurements:
 
 def measure(op: SensingOperator, truth, sigma: float = 0.0, seed: int = 0) -> Measurements:
     """y = A(M*) + xi with xi i.i.d. N(0, sigma^2), drawn as
-    sigma * normals(seed, 0, m); sigma = 0 is bit-exact noiseless."""
+    sigma * normals(seed, 0, m); sigma = 0 is bit-exact noiseless.  A y that
+    overflows raises FloatingPointError, a runtime failure, not a setting."""
     if sigma < 0:
         raise ValueError("noise sigma must be >= 0")
     y = op.apply_forward(dense_m_star(truth))
     if sigma > 0:
-        y = y + sigma * rng.normals(seed, 0, op.m)
+        with np.errstate(over="ignore"):
+            y = y + sigma * rng.normals(seed, 0, op.m)
+        if not np.isfinite(y).all():
+            raise FloatingPointError(f"the noise at sigma = {sigma} overflows y")
     return Measurements(y=y)
 
 

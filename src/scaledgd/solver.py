@@ -61,10 +61,15 @@ class StoppingRule:
     def __post_init__(self):
         if self.target_rel_err is None and self.patience is None:
             raise ValueError("enable at least one stopping criterion")
+        if self.target_rel_err is not None and not np.isfinite(self.target_rel_err):
+            raise ValueError(f"target_rel_err must be finite, got {self.target_rel_err}")
         if self.target_rel_err is not None and self.target_rel_err <= 0:
             raise ValueError("target_rel_err must be > 0")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
+        # at -1 every loss is an improvement and at 1 none is
+        if not 0 <= self.improve_tol < 1:
+            raise ValueError(f"improve_tol must lie in [0, 1), got {self.improve_tol}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,9 @@ class SolverConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        for key in ("eta", "lam", "alpha"):  # nan passes every range check below
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         if self.lam < 0:
@@ -129,6 +137,7 @@ class Trajectory:
     # (see run_batch)
     stop_reason: str
     final_state: IterateState
+    failure: str | None = None  # why a diverged or singular run failed, in words
 
 
 # -- steps --------------------------------------------------------------------
@@ -189,6 +198,8 @@ def estimate_damping(op: SensingOperator, y: np.ndarray, rank_guess: int,
     of A*(y), floored at 1e-12 times the top eigenvalue."""
     if not 1 <= rank_guess <= op.n:
         raise ValueError("require 1 <= rank_guess <= n")
+    if not c_frac > 0:
+        raise ValueError(f"c_frac must be > 0, got {c_frac}")
     vals = np.linalg.eigvalsh(op.apply_adjoint(y))[::-1]
     floor = 1e-12 * max(vals[0], np.finfo(float).tiny)
     lambda_hat = c_frac * max(vals[rank_guess - 1], floor)
@@ -238,9 +249,14 @@ class _Run:
         stop = config.stop
         if self.loss0 is None:
             self.loss0 = cur_loss
-        if not np.isfinite(cur_loss) or (
-                self.loss0 > 0 and cur_loss > DIVERGENCE_FACTOR * self.loss0):
-            self._finish("diverged", t, cur_loss, start)
+        if not np.isfinite(cur_loss):
+            self._finish("diverged", t, cur_loss, start,
+                         f"loss {cur_loss:.3e} is not finite at iteration {t}")
+            return
+        if self.loss0 > 0 and cur_loss > DIVERGENCE_FACTOR * self.loss0:
+            self._finish("diverged", t, cur_loss, start,
+                         f"loss {cur_loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial "
+                         f"loss {self.loss0:.3e} at iteration {t}")
             return
 
         rel_fro = None
@@ -275,7 +291,8 @@ class _Run:
             try:
                 self.x = step_scaled_gd_lambda(x, w @ x, config.eta, lam_t)
             except np.linalg.LinAlgError:
-                self._finish("preconditioner_singular", t, cur_loss, start)
+                self._finish("preconditioner_singular", t, cur_loss, start,
+                             f"preconditioner singular at iteration {t}; use lambda > 0")
 
     def _flush(self):
         """Make the queued records, with one stacked call per oracle metric."""
@@ -290,12 +307,11 @@ class _Run:
                          in zip(self.queue, rel_ops, metrics)]
         self.queue = []
 
-    def _finish(self, stop_reason, t, cur_loss, start):
+    def _finish(self, stop_reason, t, cur_loss, start, failure=None):
         self._flush()
         final = IterateState(x=self.x, t=t, loss=cur_loss,
                              elapsed_ns=time.perf_counter_ns() - start)
-        self.trajectory = Trajectory(records=tuple(self.records),
-                                     stop_reason=stop_reason, final_state=final)
+        self.trajectory = Trajectory(tuple(self.records), stop_reason, final, failure)
 
 
 def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
@@ -311,8 +327,9 @@ def run_batch(op: SensingOperator, y: np.ndarray, configs, oracle=None,
     loss blows up leaves with stop reason "diverged", its records made before
     the blow-up and, as final state, the iterate that blew up.  A run whose
     preconditioner is singular at its step leaves the same way with stop
-    reason "preconditioner_singular"; the others keep going.  elapsed_ms
-    and elapsed_ns count from the batch's start.
+    reason "preconditioner_singular"; the others keep going.  `failure` words
+    such a stop (None for any other).  elapsed_ms and elapsed_ns count from
+    the batch's start.
     """
     start = time.perf_counter_ns()
     runs = [_Run(op, y, config, oracle, collect_diagnostics)
@@ -338,7 +355,7 @@ def run(op: SensingOperator, y: np.ndarray, config: SolverConfig,
     request, phase metrics (these need an oracle and r >= r*) are computed
     for a stack of queued records at once.  A run whose loss blows up or
     whose preconditioner turns singular returns with stop reason "diverged"
-    or "preconditioner_singular" and the records made so far.  This is
-    run_batch with one configuration.
+    or "preconditioner_singular", the records made so far and its failure
+    in words.  This is run_batch with one configuration.
     """
     return run_batch(op, y, [config], oracle, collect_diagnostics)[0]

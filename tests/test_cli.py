@@ -9,7 +9,7 @@ import pytest
 
 from scaledgd import __version__
 from scaledgd.cli import _spec_fields, _sweep_spec_from_config, build_parser, main
-from scaledgd.experiments import (SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
+from scaledgd.experiments import (PRESETS, SWEEP_COLUMNS, TRAJECTORY_COLUMNS, SweepSpec,
                                   preset_spec, run_sweep)
 from scaledgd.problem import make_ground_truth
 from scaledgd.rng import derive_seed
@@ -118,6 +118,36 @@ def test_run_rejects_negative_max_iters(tmp_path, capsys):
     assert main(["run", "--n", "10", "--r-star", "2", "--max-iters", "-1",
                  "--patience", "5", "--out", str(tmp_path / "t.csv")]) == 2
     assert "max_iters" in capsys.readouterr().err
+
+
+# every setting of each preset, as preset_spec resolved it when each preset
+# still restated SweepSpec's defaults; _PRESET_COMMON is what most share
+_PRESET_COMMON = dict(n=60, r_star=3, r=5, kappa=2.0, m=None, eta=0.3, alpha=1e-27,
+                      sigma=0.0, lam="auto", damping_frac=0.05, target_rel_err=1e-9,
+                      patience=None, improve_tol=0.001, max_iters=2000, gd_max_iters=None,
+                      gd_tuning=(0.05, 0.1, 0.2, 0.3, 0.5, 0.8), trials=1,
+                      master_seed=0, record_every=1)
+_PINNED_PRESET_SPECS = {
+    "paper-fig1": dict(_PRESET_COMMON, axis="kappa", values=(1, 2, 3, 4, 5, 6, 7), n=150,
+                       gd_max_iters=3000, gd_tuning=(0.2, 0.4, 0.6)),
+    "ci-small": dict(_PRESET_COMMON, axis="kappa", values=(1, 2, 3, 4, 5, 6, 7),
+                     max_iters=1500, gd_max_iters=1500, gd_tuning=(0.2, 0.4, 0.6)),
+    "fig-alpha": dict(_PRESET_COMMON, axis="alpha", values=(1e-12, 1e-10, 1e-08, 1e-06),
+                      damping_frac=0.25, target_rel_err=None, patience=100,
+                      max_iters=3000),
+    "fig-r": dict(_PRESET_COMMON, axis="rank_r", values=(3, 5, 10, 20), n=150,
+                  max_iters=1500),
+    "fig-noisy": dict(_PRESET_COMMON, axis="noise_sigma", values=(0.001, 0.01, 0.1), n=150,
+                      target_rel_err=None, patience=200, max_iters=1500),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PINNED_PRESET_SPECS))
+def test_preset_settings_pinned(preset):
+    spec = preset_spec(preset)
+    assert {key: getattr(spec, key) for key in SweepSpec.__dataclass_fields__} == \
+        _PINNED_PRESET_SPECS[preset]
+    assert sorted(_PINNED_PRESET_SPECS) == sorted(PRESETS)
 
 
 # the settings `run --preset` took from its own table before it read the
@@ -278,6 +308,56 @@ def test_run_non_finite_loss_says_so(tmp_path, capsys):
     assert _read_csv(out) == [list(TRAJECTORY_COLUMNS)]
     meta = _read_meta(out + ".meta")
     assert (meta["stop_reason"], meta["final_iter"], meta["final_loss"]) == ("diverged", "0", "inf")
+
+
+@pytest.mark.parametrize("flags", [[], ["--lambda", "0.01"]])
+def test_noise_that_overflows_y_exits_1_in_one_line(tmp_path, capsys, flags):
+    # a finite sigma whose noise draw overflows y itself is a runtime failure
+    # named by its sigma, with no numpy warning and no CSV
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--patience", "5",
+                     "--sigma", "1e308", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "runtime error: the noise at sigma = 1e+308 overflows y\n"
+    assert list(tmp_path.iterdir()) == []
+    # at 3e307, y is finite and the first loss overflows, as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--patience", "5",
+                     "--sigma", "3e307", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "runtime error: loss inf is not finite at iteration 0\n"
+
+
+@pytest.mark.parametrize("frac", ["-0.05", "0"])
+def test_damping_frac_not_positive_exits_2_before_any_build(tmp_path, monkeypatch,
+                                                           capsys, frac):
+    # a damping_frac <= 0 gives an auto lambda <= 0: refused as the setting
+    # it is, not as the lambda it makes after the build
+    builds = []
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator",
+                        lambda *args: builds.append(args))
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text("axis = kappa\nvalues = 2\nn = 10\nr_star = 2\nr = 3\ntrials = 1\n"
+                   f"gd_tuning =\ndamping_frac = {frac}\n")
+    out = tmp_path / "frac.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: bad sweep configuration: damping_frac "
+                                       f"must be > 0, got {float(frac)}\n")
+    assert builds == []
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_improve_tol_out_of_range_exits_2_before_any_build(tmp_path, monkeypatch, capsys):
+    # at -1 every loss is an improvement, so patience would never stop the run
+    builds = []
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator",
+                        lambda *args: builds.append(args))
+    assert main(["run", "--n", "20", "--r-star", "2", "--r", "3", "--improve-tol", "-1",
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "error: improve_tol must lie in [0, 1), got -1.0\n"
+    assert builds == [] and list(tmp_path.iterdir()) == []
 
 
 def test_run_singular_preconditioner_exits_1(tmp_path, capsys):

@@ -345,6 +345,31 @@ def test_divergence_guard():
         assert np.isfinite(rec.rel_err_op)
 
 
+def test_failure_words_each_failed_stop():
+    # the solver says why a run failed, as `scaledgd run` prints it; a run
+    # that stops by a rule of its StoppingRule has no failure
+    gt = make_ground_truth(20, 2, 2, seed=9)
+    op = gaussian_operator(20, 400, seed=10)
+    y = measure(op, gt).y
+    base = SolverConfig(algorithm="gd", r=3, eta=50.0, alpha=1e-9, max_iters=100,
+                        stop=StoppingRule(target_rel_err=1e-6), seed_init=11)
+    blown = run(op, y, base, oracle=gt)
+    final = blown.final_state
+    assert blown.stop_reason == "diverged" and np.isfinite(final.loss)
+    assert blown.failure == (f"loss {final.loss:.3e} exceeded 1e+06 x initial loss "
+                             f"{blown.records[0].loss:.3e} at iteration {final.t}")
+    overflow = run(op, 1e200 * y, base, oracle=gt)
+    assert overflow.failure == "loss inf is not finite at iteration 0"
+    singular = run(op, y, replace(base, algorithm="scaled_gd", eta=0.3, alpha=1e-200),
+                   oracle=gt)
+    assert (singular.stop_reason, singular.failure) == \
+        ("preconditioner_singular", "preconditioner singular at iteration 0; use lambda > 0")
+    lam = estimate_damping(op, y, 2).lambda_hat
+    reached = run(op, y, replace(base, algorithm="scaled_gd_lambda", eta=0.3, lam=lam,
+                                 alpha=1e-27, max_iters=400), oracle=gt)
+    assert (reached.stop_reason, reached.failure) == ("target_reached", None)
+
+
 def _assert_same_run(batched, alone, norm_m):
     # lockstep and one-at-a-time runs agree in their stop and record points
     # and in their final errors.  Mid-run they can part by more: the
@@ -583,6 +608,47 @@ def test_config_validation():
         StoppingRule(target_rel_err=0.0)
     with pytest.raises(ValueError):
         StoppingRule(patience=0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+# nan passes every `x <= 0` check and inf most; an improve_tol outside [0, 1)
+# makes every loss an improvement (patience never fires) or none
+@pytest.mark.parametrize("make, message", [
+    (lambda: SolverConfig(algorithm="gd", r=2, eta=_NAN), "eta must be finite"),
+    (lambda: SolverConfig(algorithm="gd", r=2, eta=_INF), "eta must be finite"),
+    (lambda: SolverConfig(algorithm="scaled_gd_lambda", r=2, eta=0.3, lam=_NAN),
+     "lam must be finite"),
+    (lambda: SolverConfig(algorithm="gd", r=2, eta=0.3, alpha=_INF), "alpha must be finite"),
+    (lambda: SolverConfig(algorithm="gd", r=2, eta=0.3, alpha=_NAN), "alpha must be finite"),
+    (lambda: StoppingRule(target_rel_err=_NAN), "target_rel_err must be finite"),
+    (lambda: StoppingRule(target_rel_err=_INF), "target_rel_err must be finite"),
+    (lambda: StoppingRule(patience=5, improve_tol=-1.0), r"improve_tol must lie in \[0, 1\)"),
+    (lambda: StoppingRule(patience=5, improve_tol=1.0), r"improve_tol must lie in \[0, 1\)"),
+    (lambda: StoppingRule(patience=5, improve_tol=2.0), r"improve_tol must lie in \[0, 1\)"),
+    (lambda: StoppingRule(patience=5, improve_tol=_NAN), r"improve_tol must lie in \[0, 1\)"),
+    (lambda: make_ground_truth(5, 2, _NAN, 0), "kappa must be finite"),
+    (lambda: make_ground_truth(5, 2, _INF, 0), "kappa must be finite"),
+    (lambda: estimate_damping(identity_operator(4), np.ones(10), 2, c_frac=0.0),
+     "c_frac must be > 0"),
+    (lambda: estimate_damping(identity_operator(4), np.ones(10), 2, c_frac=-0.05),
+     "c_frac must be > 0"),
+], ids=["eta-nan", "eta-inf", "lam-nan", "alpha-inf", "alpha-nan", "target-nan",
+        "target-inf", "improve_tol--1", "improve_tol-1", "improve_tol-2", "improve_tol-nan",
+        "kappa-nan", "kappa-inf", "c_frac-0", "c_frac-negative"])
+def test_settings_outside_their_range_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_noise_that_overflows_y_refused():
+    # only y itself: at 3e307 every entry stays finite
+    gt = make_ground_truth(10, 2, 2, seed=1)
+    op = gaussian_operator(10, 200, seed=2)
+    assert np.isfinite(measure(op, gt, 3e307, 4).y).all()
+    with pytest.raises(FloatingPointError, match="sigma = 1e\\+308"):
+        measure(op, gt, 1e308, 4)
 
 
 def test_noisy_measurements_flow_through():
