@@ -1,4 +1,4 @@
-"""Command-line interface: run / sweep / rip subcommands.
+"""Command-line interface: run / sweep subcommands.
 
 Every invocation is fully determined by its flags (plus config file and
 defaults); the resolved settings are echoed into a `<output>.meta` sidecar
@@ -19,9 +19,8 @@ import numpy as np
 
 from . import __version__
 from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, preset_spec,
-                          run_point, run_sweep)
-from .rng import derive_seed
-from .sensing import estimate_rip_constant, gaussian_operator, identity_operator
+                          run_point, sweep_rows)
+from .sensing import identity_operator
 from .solver import ALGORITHMS
 
 
@@ -163,24 +162,18 @@ def cmd_sweep(args) -> int:
     fields = _spec_fields(args)
     spec = (preset_spec(args.preset, **fields) if args.preset
             else _sweep_spec_from_config(_parse_kv_file(args.config), **fields))
-    records = run_sweep(spec)
-    emit_csv(records, args.out)
-    meta = {f"spec.{k}": _config_text(getattr(spec, k)) for k in spec.__dataclass_fields__}
-    meta.update({"kind": "sweep", "records": len(records), "version": __version__})
-    _write_sidecar(args.out, meta)
+    records = []
+    try:
+        for record in sweep_rows(spec):
+            records.append(record)
+    finally:  # a failure at a later point keeps the rows of the points before it
+        if records:
+            emit_csv(records, args.out)
+            meta = {f"spec.{k}": _config_text(getattr(spec, k))
+                    for k in spec.__dataclass_fields__}
+            meta.update({"kind": "sweep", "records": len(records), "version": __version__})
+            _write_sidecar(args.out, meta)
     print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-# -- rip ------------------------------------------------------------------------
-
-
-def cmd_rip(args) -> int:
-    op = gaussian_operator(args.n, args.m, args.seed)
-    est = estimate_rip_constant(op, args.rank, args.trials, derive_seed(args.seed, 99))
-    print(f"rank={args.rank} trials={args.trials} delta_hat={est.delta_hat:.6f} "
-          f"min_ratio={est.min_ratio:.6f} max_ratio={est.max_ratio:.6f}")
-    print("note: delta_hat is a sampled lower bound on the true constant")
     return 0
 
 
@@ -246,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rip", help="estimate a restricted isometry constant")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--m", type=int, required=True, help="measurements")
-    p.add_argument("--rank", type=int, required=True, help="rank of test matrices")
-    p.add_argument("--trials", type=int, default=200, help="sampled matrices (default 200)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.set_defaults(func=cmd_rip)
     return parser
 
 

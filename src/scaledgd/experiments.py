@@ -250,9 +250,15 @@ def _gd_rank_key(rec: ExperimentRecord):
 def _sweep(spec: SweepSpec, axis: str) -> list[ExperimentRecord]:
     if spec.axis != axis:
         raise ValueError(f"axis must be {axis!r}")
-    return [rec for ai, value in enumerate(spec.values)
-            for trial in range(spec.trials)
-            for rec in _sweep_point(spec, ai, trial, value)]
+    return list(sweep_rows(spec))
+
+
+def sweep_rows(spec: SweepSpec):
+    """Yield a sweep's rows point by point, each point's once it has run, so
+    `scaledgd sweep` keeps the finished points' rows when a later one fails."""
+    for ai, value in enumerate(spec.values):
+        for trial in range(spec.trials):
+            yield from _sweep_point(spec, ai, trial, value)
 
 
 def sweep_condition_number(spec: SweepSpec) -> list[ExperimentRecord]:

@@ -207,8 +207,6 @@ class RipEstimate:
     """
 
     delta_hat: float
-    min_ratio: float
-    max_ratio: float
 
 
 def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
@@ -241,4 +239,4 @@ def estimate_rip_constant(op: SensingOperator, rank: int, trials: int,
         min_ratio = min(min_ratio, *ratios)
         max_ratio = max(max_ratio, *ratios)
     delta_hat = max(1.0 - min_ratio, max_ratio - 1.0, 0.0)
-    return RipEstimate(delta_hat=delta_hat, min_ratio=min_ratio, max_ratio=max_ratio)
+    return RipEstimate(delta_hat=delta_hat)

@@ -417,6 +417,42 @@ def test_alpha_sweep_sidecar_has_no_target(tmp_path):
     assert reasons and set(reasons) <= {"patience", "max_iters"}
 
 
+# a noise sweep whose sigma = 1e308 overflows y at that point's measure
+_OVERFLOW_SWEEP = ("axis = noise_sigma\nn = 10\nr_star = 2\nr = 3\ntrials = 1\n"
+                   "target_rel_err = none\npatience = 5\n")
+
+
+def test_sweep_failing_at_a_later_point_keeps_the_finished_rows(tmp_path, capsys):
+    # the second point fails: the sweep exits 1 in one line, and its CSV and
+    # sidecar hold the first point's row, as a sweep of that point alone does
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(_OVERFLOW_SWEEP + "values = 0.001,1e308\n")
+    out = str(tmp_path / "late.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", "runtime error: the noise at sigma = 1e+308 overflows y\n")
+    cfg.write_text(_OVERFLOW_SWEEP + "values = 0.001\n")
+    alone = str(tmp_path / "alone.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", alone]) == 0
+    rows = _read_csv(out)
+    assert len(rows) == 2
+    assert _without_wall_ms(rows) == _without_wall_ms(_read_csv(alone))
+    meta, meta_alone = _read_meta(out + ".meta"), _read_meta(alone + ".meta")
+    assert meta["records"] == "1"
+    assert meta.pop("spec.values") == "0.001,1e+308"
+    assert meta_alone.pop("spec.values") == "0.001"
+    assert meta == meta_alone
+
+
+def test_sweep_failing_at_its_first_point_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "first.cfg"
+    cfg.write_text(_OVERFLOW_SWEEP + "values = 1e308\n")
+    out = tmp_path / "first.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("runtime error:")
+    assert not out.exists() and not (tmp_path / "first.csv.meta").exists()
+
+
 def test_sweep_rejects_fractional_rank(tmp_path, capsys):
     cfg = tmp_path / "rank.cfg"
     cfg.write_text("axis = rank_r\nvalues = 2.5,4\nn = 12\nr_star = 2\ntrials = 1\n")
@@ -492,37 +528,12 @@ def test_config_parse_errors(tmp_path, capsys):
     assert "expected 'key = value'" in capsys.readouterr().err
 
 
-def test_rip_rank_zero(capsys):
-    assert main(["rip", "--n", "5", "--m", "50", "--rank", "0"]) == 2
-    assert "rank must be between 1 and n" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n", ["0", "-2"])
-def test_rip_rejects_nonpositive_n(capsys, n):
-    assert main(["rip", "--n", n, "--m", "5", "--rank", "1"]) == 2
-    assert "n must be >= 1" in capsys.readouterr().err
-
-
-def test_rip_gaussian_requires_m(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["rip", "--n", "10", "--rank", "2"])
-    assert exc.value.code == 2
-
-
-def test_rip_gaussian(capsys):
-    assert main(["rip", "--n", "8", "--m", "400", "--rank", "2",
-                 "--trials", "50", "--seed", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "delta_hat=" in out
-    assert "lower bound" in out
-
-
 def test_help_mentions_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in ("run", "sweep", "rip"):
+    for name in ("run", "sweep"):
         assert name in out
 
 
@@ -736,6 +747,7 @@ def test_readme_cli_lines_parse(argv):
     ["run", "--lambda-auto", "2", "--out", "x"],
     ["rip", "--backend", "streamed", "--n", "10", "--m", "400", "--rank", "2"],
     ["rip", "--operator", "identity", "--n", "10", "--m", "400", "--rank", "2"],
+    ["rip", "--n", "8", "--m", "400", "--rank", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_removed_commands_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,11 @@
 import csv
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +291,42 @@ def test_run_point_checks_instance_rules_before_any_draw(monkeypatch):
     # a small random init takes any r
     [(_, traj)] = run_point(spec, 0, [cfg])
     assert traj.stop_reason == "patience"
+
+
+# One ci-small point (kappa = 7, master seed 3, GD capped at 200 iterations)
+# run by run_sweep; a spy on run_batch hashes the instance run_point drew.
+_THREADS_SCRIPT = """
+import hashlib, json
+from scaledgd import experiments
+hashes = []
+def spy(op, y, configs, oracle, **kwargs):
+    digest = hashlib.sha256()
+    for part in (oracle.frame, oracle.scales, *map(op.row_svec, range(op.m)), y):
+        digest.update(part.tobytes())
+    hashes.append(digest.hexdigest())
+    return run_batch(op, y, configs, oracle=oracle, **kwargs)
+run_batch, experiments.run_batch = experiments.run_batch, spy
+spec = experiments.preset_spec("ci-small", values=(7,), master_seed=3, gd_max_iters=200)
+scaled = experiments.run_sweep(spec)[0]
+print(json.dumps([hashes, [scaled.algorithm, scaled.stop_reason, scaled.iters_to_target]]))
+"""
+
+
+def test_instance_and_scaled_gd_counts_do_not_depend_on_blas_threads():
+    # README "Reproducibility": the truth, the operator rows and y are bit for
+    # bit the same at 1 and 2 BLAS threads, and so are ScaledGD(lambda)'s stop
+    # reason and iteration count; GD's counts may differ, so they are not read
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    results = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src,
+                                   "OPENBLAS_NUM_THREADS": threads,
+                                   "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    (hashes_1, scaled_1), (hashes_2, scaled_2) = results
+    assert len(hashes_1) == 1 and hashes_1 == hashes_2
+    assert scaled_1[:2] == ["scaled_gd_lambda", "target_reached"]
+    assert scaled_1 == scaled_2

@@ -336,7 +336,6 @@ def test_measure_adds_sigma_times_the_noise_stream():
 def test_rip_identity_zero():
     est = estimate_rip_constant(identity_operator(10), 3, 50, seed=0)
     assert est.delta_hat == 0.0
-    assert est.min_ratio == 1.0 and est.max_ratio == 1.0
 
 
 def test_rip_gaussian_well_sampled():
@@ -359,8 +358,7 @@ def test_rip_trials_go_forward_in_chunks(monkeypatch):
     monkeypatch.setattr(sensing, "_RIP_CHUNK", 1)
     alone = estimate_rip_constant(op, 2, 150, seed=6)
     assert len(stacks) == 3 + 150
-    for field in ("delta_hat", "min_ratio", "max_ratio"):
-        assert getattr(stacked, field) == pytest.approx(getattr(alone, field), rel=1e-13)
+    assert stacked.delta_hat == pytest.approx(alone.delta_hat, rel=1e-13)
 
 
 def test_rip_single_measurement_near_one():
