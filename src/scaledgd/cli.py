@@ -1,16 +1,17 @@
 """Command-line interface: run / sweep subcommands.
 
 Every invocation is fully determined by its flags (plus config file and
-defaults); the resolved settings are echoed into a `<output>.meta` sidecar
-so any output can be reproduced by re-invocation under the same BLAS build
-and thread count (the instance is exact on any host; the iterates round
-with the BLAS).  Exit codes: 0 success, 2 flag/config validation error, 1
-runtime error.
+defaults); the resolved settings and the numpy, BLAS and thread settings are
+echoed into a `<output>.meta` sidecar, so any output can be reproduced by
+re-invocation under that BLAS build and thread count (the instance is exact
+on any host; the iterates round with the BLAS).  Exit codes: 0 success, 2
+flag/config validation error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing
 from dataclasses import replace
@@ -20,11 +21,25 @@ import numpy as np
 from . import __version__
 from .experiments import (PRESETS, SweepSpec, emit_csv, point_config, preset_spec,
                           run_point, sweep_rows)
-from .sensing import identity_operator
 from .solver import ALGORITHMS
 
 
+def _host() -> dict:
+    """What the iterates round with: numpy, its BLAS build and the thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    # one sidecar line, whatever the environment holds
+    threads = ",".join(f"{key}={value}".replace("\n", " ")
+                       for key, value in sorted(os.environ.items())
+                       if key.endswith("_NUM_THREADS"))
+    return {"numpy": np.__version__, "blas": blas, "threads": threads or "none"}
+
+
 def _write_sidecar(path: str, settings: dict) -> None:
+    settings = {**settings, **_host()}
     with open(path + ".meta", "w") as fh:
         for key in sorted(settings):
             fh.write(f"{key} = {settings[key]}\n")
@@ -102,27 +117,23 @@ def _run_spec(args) -> SweepSpec:
 
 
 def cmd_run(args) -> int:
-    if args.operator == "identity" and args.m is not None:
-        raise ValueError("--m does not apply to --operator identity (m = n(n+1)/2)")
     spec = _run_spec(args)
     seed = spec.master_seed
     # The config is built before the instance, so SolverConfig checks every
     # setting before the operator is built; run_point sets an auto lambda.
     planned = replace(point_config(spec, seed), algorithm=args.algorithm.replace("-", "_"),
                       init=args.init.replace("-", "_"))
-    op = identity_operator(spec.n) if args.operator == "identity" else None
-    [(config, traj)] = run_point(spec, seed, [planned], op,
-                                 collect_diagnostics=args.diagnostics)
+    [(config, traj)] = run_point(spec, seed, [planned], collect_diagnostics=args.diagnostics)
     final = traj.final_state
     emit_csv(traj, args.out)
     # a key per setting flag; damping_frac is set when run_point set an auto lambda
     _write_sidecar(args.out, {
         **{flag[2:].replace("-", "_"): getattr(spec, field)
            for flag, field, _ in _RUN_SETTINGS},
-        "m": spec.measurements if op is None else op.m, "lambda": config.lam,
+        "m": spec.measurements, "lambda": config.lam,
         "damping_frac": spec.damping_frac if config.lam != planned.lam else None,
-        "kind": "trajectory", "algorithm": args.algorithm, "operator": args.operator,
-        "init": args.init, "stop_reason": traj.stop_reason, "final_iter": final.t,
+        "kind": "trajectory", "algorithm": args.algorithm, "init": args.init,
+        "stop_reason": traj.stop_reason, "final_iter": final.t,
         "final_loss": final.loss, "version": __version__,
     })
     if traj.failure is None:
@@ -137,8 +148,9 @@ def cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-# the keys of a sweep's sidecar besides its spec.* settings
-_SWEEP_SIDECAR_KEYS = ("kind", "records", "version")
+# the keys of a sweep's sidecar besides its spec.* settings; the host's keys
+# do not stop a sidecar from another host rerunning
+_SWEEP_SIDECAR_KEYS = ("kind", "records", "version", "numpy", "blas", "threads")
 
 
 def _sweep_spec_from_config(raw: dict, **fields) -> SweepSpec:
@@ -220,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver (default %(default)s)")
     p.add_argument("--preset", help="take the settings of a sweep preset: "
                    + ", ".join(sorted(PRESETS)))
-    p.add_argument("--operator", choices=("gaussian", "identity"),
-                   default="gaussian", help="sensing operator (default gaussian)")
     p.add_argument("--init", choices=("small-random", "spectral"),
                    default="small-random", help="initialization (default small-random)")
     for flag, dest, text in _RUN_SETTINGS:

@@ -189,24 +189,21 @@ def point_config(spec: SweepSpec, seed: int) -> SolverConfig:
                         record_every=spec.record_every)
 
 
-def run_point(spec: SweepSpec, seed: int, configs, op=None,
-              collect_diagnostics: bool = False) -> list:
+def run_point(spec: SweepSpec, seed: int, configs, collect_diagnostics: bool = False) -> list:
     """Draw one point's instance and run `configs` on it in lockstep
     (run_batch), for the sweeps and `scaledgd run`.  The truth, the Gaussian
-    operator (unless `op` is given) and the noise are drawn, in that order,
-    from seeds derived from `seed`.  When spec.lam is "auto", every
-    ScaledGD(lambda) config gets lambda at spec.damping_frac of the r*-th
-    eigenvalue of A*(y).  Returns (config as run, trajectory) per config.
-    Diagnostics with r < r* and a spectral init with r > n are refused
-    before anything is drawn."""
+    operator and the noise are drawn, in that order, from seeds derived from
+    `seed`.  When spec.lam is "auto", every ScaledGD(lambda) config gets
+    lambda at spec.damping_frac of the r*-th eigenvalue of A*(y).  Returns
+    (config as run, trajectory) per config.  Diagnostics with r < r* and a
+    spectral init with r > n are refused before anything is drawn."""
     for c in configs:
         if collect_diagnostics and c.r < spec.r_star:
             raise ValueError(f"diagnostics need r >= r* = {spec.r_star}, got r = {c.r}")
         if c.init == "spectral" and c.r > spec.n:
             raise ValueError("r exceeds ambient dimension")
     gt = make_ground_truth(spec.n, spec.r_star, spec.kappa, derive_seed(seed, TAG_TRUTH))
-    if op is None:
-        op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
+    op = gaussian_operator(spec.n, spec.measurements, derive_seed(seed, TAG_OPERATOR))
     y = measure(op, gt, spec.sigma, derive_seed(seed, TAG_NOISE)).y
     if spec.lam == "auto" and any(c.algorithm == "scaled_gd_lambda" for c in configs):
         lam = estimate_damping(op, y, spec.r_star, c_frac=spec.damping_frac).lambda_hat

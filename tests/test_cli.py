@@ -1,10 +1,12 @@
 import argparse
 import csv
+import os
 import shlex
 import typing
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scaledgd import __version__
@@ -150,8 +152,16 @@ def test_preset_settings_pinned(preset):
     assert sorted(_PINNED_PRESET_SPECS) == sorted(PRESETS)
 
 
+@pytest.fixture
+def identity_instance(monkeypatch):
+    """run_point draws the identity map in place of the Gaussian operator, so
+    a run at a paper-scale preset stays cheap."""
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator",
+                        lambda n, m, seed: identity_operator(n))
+
+
 # the settings `run --preset` took from its own table before it read the
-# sweep presets; the identity operator keeps the paper-scale run cheap
+# sweep presets
 _PINNED_RUN_PRESETS = {
     "paper-fig1": dict(n="150", r_star="3", r="5", eta="0.3", alpha="1e-27",
                        target="1e-09", max_iters="2000"),
@@ -161,10 +171,9 @@ _PINNED_RUN_PRESETS = {
 
 
 @pytest.mark.parametrize("preset", sorted(_PINNED_RUN_PRESETS))
-def test_run_preset_settings_pinned(tmp_path, preset):
+def test_run_preset_settings_pinned(tmp_path, identity_instance, preset):
     out = str(tmp_path / "t.csv")
-    assert main(["run", "--preset", preset, "--operator", "identity",
-                 "--record-every", "100", "--out", out]) == 0
+    assert main(["run", "--preset", preset, "--record-every", "100", "--out", out]) == 0
     meta = _read_meta(out + ".meta")
     for key, value in _PINNED_RUN_PRESETS[preset].items():
         assert meta[key] == value, key
@@ -173,10 +182,9 @@ def test_run_preset_settings_pinned(tmp_path, preset):
 
 
 @pytest.mark.parametrize("preset", ["fig-r", "fig-alpha"])
-def test_run_preset_resolves_from_sweep_presets(tmp_path, preset):
+def test_run_preset_resolves_from_sweep_presets(tmp_path, identity_instance, preset):
     out = str(tmp_path / "t.csv")
-    assert main(["run", "--preset", preset, "--operator", "identity",
-                 "--record-every", "100", "--out", out]) == 0
+    assert main(["run", "--preset", preset, "--record-every", "100", "--out", out]) == 0
     meta = _read_meta(out + ".meta")
     spec = preset_spec(preset)
     for key, field in (("n", "n"), ("r_star", "r_star"), ("r", "r"),
@@ -186,23 +194,22 @@ def test_run_preset_resolves_from_sweep_presets(tmp_path, preset):
         assert meta[key] == str(getattr(spec, field)), key
 
 
-def test_run_fig_alpha_preset_keeps_target(tmp_path, capsys):
+def test_run_fig_alpha_preset_keeps_target(tmp_path, identity_instance, capsys):
     # the alpha axis drops its target, but a run is a kappa point: with the
     # fig-alpha preset, --target still stops it
     out = str(tmp_path / "t.csv")
-    assert main(["run", "--preset", "fig-alpha", "--operator", "identity",
-                 "--n", "12", "--r-star", "2", "--r", "3", "--target", "1e-6",
-                 "--out", out]) == 0
+    assert main(["run", "--preset", "fig-alpha", "--n", "12", "--r-star", "2", "--r", "3",
+                 "--target", "1e-6", "--out", out]) == 0
     assert "stop=target_reached" in capsys.readouterr().out
     meta = _read_meta(out + ".meta")
     assert meta["target"] == "1e-06" and meta["stop_reason"] == "target_reached"
 
 
-def test_run_default_settings_pinned(tmp_path):
+def test_run_default_settings_pinned(tmp_path, identity_instance):
     # SweepSpec's defaults, with run's own: no target, 1500 iterations and a
     # patience of 100
     out = str(tmp_path / "t.csv")
-    assert main(["run", "--operator", "identity", "--out", out]) == 0
+    assert main(["run", "--out", out]) == 0
     meta = _read_meta(out + ".meta")
     want = dict(n="60", r_star="3", r="5", eta="0.3", alpha="1e-27",
                 target="None", patience="100", max_iters="1500", sigma="0.0",
@@ -235,24 +242,6 @@ def test_run_flag_overrides_preset(tmp_path, flag, value, key, want):
 def test_run_unknown_preset(tmp_path):
     assert main(["run", "--preset", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == 2
-
-
-def test_run_identity_operator(tmp_path, capsys):
-    out = str(tmp_path / "t.csv")
-    rc = main(["run", "--n", "12", "--r-star", "2", "--r", "2",
-               "--operator", "identity", "--alpha", "1e-9",
-               "--target", "1e-8", "--max-iters", "400", "--out", out])
-    assert rc == 0
-    assert "stop=target_reached" in capsys.readouterr().out
-
-
-def test_run_identity_rejects_m(tmp_path, capsys):
-    # the identity operator's m is n(n+1)/2, so an explicit --m is an error
-    out = tmp_path / "t.csv"
-    assert main(["run", "--operator", "identity", "--n", "10", "--r-star", "2",
-                 "--m", "400", "--out", str(out)]) == 2
-    assert "--m does not apply to --operator identity" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "t.csv.meta").exists()
 
 
 def test_sweep_preset_and_config(tmp_path):
@@ -392,16 +381,52 @@ def _without_wall_ms(rows):
     "patience = 50\nmax_iters = 300\ngd_tuning =\nlam = 0.01\ntrials = 1\n",
 ], ids=["preset", "fields"])
 def test_sweep_sidecar_reruns_as_config(tmp_path, config):
-    # a sweep's sidecar is a config: re-running it gives the same rows
+    # a sweep's sidecar is a config: re-running it gives the same rows, also
+    # when it was written under another BLAS build and thread count
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(config)
     first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["sweep", "--config", str(cfg), "--out", first]) == 0
     meta = _read_meta(first + ".meta")
     assert "None" not in meta.values() and not any("(" in v for v in meta.values())
+    other_host = {"blas": "reference 3.12.0", "threads": "OMP_NUM_THREADS=64"}
+    Path(first + ".meta").write_text("".join(
+        f"{key} = {other_host.get(key, value)}\n" for key, value in meta.items()))
+    assert other_host.items() <= _read_meta(first + ".meta").items()
     assert main(["sweep", "--config", first + ".meta", "--out", second]) == 0
     assert _without_wall_ms(_read_csv(first)) == _without_wall_ms(_read_csv(second))
     assert _read_meta(second + ".meta") == meta
+
+
+def test_sidecars_record_numpy_blas_and_threads(tmp_path, monkeypatch):
+    # the iterates round with the BLAS build and its thread count, so both
+    # sidecars say what they were computed with
+    for key in [key for key in os.environ if key.endswith("_NUM_THREADS")]:
+        monkeypatch.delenv(key)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    run = str(tmp_path / "run.csv")
+    assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--max-iters", "3",
+                 "--out", run]) == 0
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("axis = kappa\nvalues = 2\nn = 10\nr_star = 2\nr = 3\ntrials = 1\n"
+                   "max_iters = 3\ngd_tuning =\n")
+    sweep = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", sweep]) == 0
+    for path in (run, sweep):
+        meta = _read_meta(path + ".meta")
+        assert meta["numpy"] == np.__version__
+        assert meta["blas"] not in ("", "None None")
+        assert meta["threads"] == "OMP_NUM_THREADS=2,OPENBLAS_NUM_THREADS=1"
+    # a value that spans lines still makes one sidecar line, so the sweep reruns
+    monkeypatch.setenv("OMP_NUM_THREADS", "2\n3")
+    assert main(["sweep", "--config", str(cfg), "--out", sweep]) == 0
+    assert main(["sweep", "--config", sweep + ".meta", "--out", sweep]) == 0
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert main(["run", "--n", "10", "--r-star", "2", "--r", "3", "--max-iters", "3",
+                 "--out", run]) == 0
+    assert _read_meta(run + ".meta")["threads"] == "none"
 
 
 def test_alpha_sweep_sidecar_has_no_target(tmp_path):
@@ -537,12 +562,11 @@ def test_help_mentions_subcommands(capsys):
         assert name in out
 
 
-def test_run_diagnostics_records_phase_metrics(tmp_path, capsys):
+def test_run_diagnostics_records_phase_metrics(tmp_path, identity_instance, capsys):
     # `run --diagnostics` records the four phase metrics at every record
     out = str(tmp_path / "t.csv")
-    assert main(["run", "--preset", "ci-small", "--kappa", "3", "--operator",
-                 "identity", "--record-every", "10", "--diagnostics",
-                 "--out", out]) == 0
+    assert main(["run", "--preset", "ci-small", "--kappa", "3", "--record-every", "10",
+                 "--diagnostics", "--out", out]) == 0
     printed = capsys.readouterr().out
     rows = _read_csv(out)
     col = {name: rows[0].index(name) for name in TRAJECTORY_COLUMNS}
@@ -571,9 +595,9 @@ def test_run_refuses_a_lambda_the_algorithm_ignores(tmp_path, capsys, algorithm)
     # GD and PrecGD take no fixed lambda; one on the command line is a flag
     # error, not a damping the sidecar reports but the step never applies
     out = tmp_path / "g.csv"
-    assert main(["run", "--algorithm", algorithm, "--lambda", "0.01", "--operator",
-                 "identity", "--n", "12", "--r-star", "2", "--r", "3",
-                 "--max-iters", "5", "--diagnostics", "--out", str(out)]) == 2
+    assert main(["run", "--algorithm", algorithm, "--lambda", "0.01", "--n", "12",
+                 "--r-star", "2", "--r", "3", "--max-iters", "5", "--diagnostics",
+                 "--out", str(out)]) == 2
     algo = algorithm.replace("-", "_")
     assert capsys.readouterr().err == \
         f"error: {algo} takes no fixed lambda; got lambda = 0.01\n"
@@ -748,6 +772,7 @@ def test_readme_cli_lines_parse(argv):
     ["rip", "--backend", "streamed", "--n", "10", "--m", "400", "--rank", "2"],
     ["rip", "--operator", "identity", "--n", "10", "--m", "400", "--rank", "2"],
     ["rip", "--n", "8", "--m", "400", "--rank", "2"],
+    ["run", "--operator", "identity", "--n", "12", "--out", "x"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_removed_commands_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ these walk the sources with `ast`.
   attribute is read: the same sources load an attribute of that name, or a
   string constant names it (`emit_csv` reads row fields by their column
   names).  A bare string statement, such as a docstring, reads nothing.
+- The README's count of the package's modules and lines is the sources'.
 
 `__init__.py` only re-exports, so it is neither checked nor counted as a
 caller, and `from __future__` imports are directives."""
@@ -132,6 +133,16 @@ def _unread(modules: dict[str, str], readers: list[str]) -> list[str]:
 
 def test_modules_found():
     assert len(MODULES) >= 8
+
+
+def test_readme_states_the_package_size():
+    # every src/scaledgd/*.py counts, __init__.py among them
+    stated = re.search(r"The package is (\d+) modules and (\d+) lines\s+in `src/`",
+                       (ROOT / "README.md").read_text())
+    paths = sorted(SRC.glob("*.py"))
+    assert stated is not None
+    assert (int(stated[1]), int(stated[2])) == (
+        len(paths), sum(len(path.read_text().splitlines()) for path in paths))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
