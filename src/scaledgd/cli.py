@@ -171,9 +171,8 @@ def _sweep_spec_from_config(raw: dict, **fields) -> SweepSpec:
 def cmd_sweep(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ValueError("pass exactly one of --preset or --config")
-    fields = _spec_fields(args)
-    spec = (preset_spec(args.preset, **fields) if args.preset
-            else _sweep_spec_from_config(_parse_kv_file(args.config), **fields))
+    raw = {"preset": args.preset} if args.config is None else _parse_kv_file(args.config)
+    spec = _sweep_spec_from_config(raw, **_spec_fields(args))
     records = []
     try:
         for record in sweep_rows(spec):

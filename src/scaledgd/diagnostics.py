@@ -36,9 +36,7 @@ class IterateDecomposition:
         u_star, u_perp = self.truth.u_star, self.truth.u_perp
         x = u_star @ self.s_tilde @ _t(self.v)
         x = x + u_perp @ self.n_tilde @ _t(self.v)
-        if self.o_tilde.shape[-1]:
-            x = x + u_perp @ self.o_tilde @ _t(self.v_perp)
-        return x
+        return x + u_perp @ self.o_tilde @ _t(self.v_perp)
 
 
 @dataclass(frozen=True)
@@ -68,21 +66,22 @@ def decompose_iterate(x: np.ndarray, gt: GroundTruth) -> IterateDecomposition:
 def phase_metrics(dec: IterateDecomposition, lam: float) -> PhaseMetrics | list[PhaseMetrics]:
     """The PhaseMetrics of a decomposition against its truth, or a list of
     them for a stacked one.  A singular S~ is swapped for the identity before
-    the solve, which would raise on it, and gets an infinite misalign."""
+    the solve, which would raise on it, and gets an infinite misalign.  A
+    sigma_min^2 that underflows makes Gamma (and, at lam = 0, the scaled
+    block) inf, and the metrics read inf or nan."""
     sigma = dec.truth.sigma_star
     s_tilde = dec.s_tilde
-    scaled = s_tilde / np.sqrt(sigma**2 + lam)[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = s_tilde / np.sqrt(sigma**2 + lam)[:, None]
+        gamma = (s_tilde @ _t(s_tilde) - np.diag(sigma**2)) / sigma[:, None] / sigma[None, :]
     sigma_min_scaled = np.linalg.svd(scaled, compute_uv=False)[..., -1]
 
     sv = np.linalg.svd(s_tilde, compute_uv=False)
-    singular = ((sv[..., -1] <= sv[..., 0] * np.finfo(float).eps * max(s_tilde.shape[-2:]))
-                | (sv[..., -1] == 0.0))
+    singular = sv[..., -1] <= sv[..., 0] * np.finfo(float).eps * max(s_tilde.shape[-2:])
     safe = np.where(singular[..., None, None], np.eye(*s_tilde.shape[-2:]), s_tilde)
     z = _t(np.linalg.solve(_t(safe), _t(dec.n_tilde)))  # N~ S~^{-1}
     misalign = np.where(singular, np.inf, np.linalg.norm(z * sigma, 2, axis=(-2, -1)))
 
-    gram_err = (s_tilde @ _t(s_tilde) - np.diag(sigma**2))
-    gamma = gram_err / sigma[:, None] / sigma[None, :]
     gamma_norm = np.linalg.norm(gamma, 2, axis=(-2, -1))
     overparam_norm = (np.linalg.norm(dec.o_tilde, 2, axis=(-2, -1)) if dec.o_tilde.size
                       else np.zeros(s_tilde.shape[:-2]))

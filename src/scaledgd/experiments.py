@@ -247,7 +247,7 @@ def _gd_rank_key(rec: ExperimentRecord):
 def _sweep(spec: SweepSpec, axis: str) -> list[ExperimentRecord]:
     if spec.axis != axis:
         raise ValueError(f"axis must be {axis!r}")
-    return list(sweep_rows(spec))
+    return run_sweep(spec)
 
 
 def sweep_rows(spec: SweepSpec):
@@ -291,9 +291,7 @@ def sweep_noise(spec: SweepSpec) -> list[ExperimentRecord]:
 
 
 def run_sweep(spec: SweepSpec) -> list[ExperimentRecord]:
-    dispatch = {"kappa": sweep_condition_number, "alpha": sweep_init_scale,
-                "rank_r": sweep_overparam_rank, "noise_sigma": sweep_noise}
-    return dispatch[spec.axis](spec)
+    return list(sweep_rows(spec))
 
 
 # -- CSV ----------------------------------------------------------------------

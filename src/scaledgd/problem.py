@@ -39,10 +39,8 @@ class GroundTruth:
 
     @cached_property
     def u_perp(self) -> np.ndarray:
-        """n x (n - r_star) orthonormal complement of u_star: the tail of an
-        n x n frame, else computed once."""
-        n, k = self.frame.shape
-        return self.frame[:, self.r_star:] if k == n else orthonormal_complement(self.u_star)
+        """n x (n - r_star) orthonormal complement of u_star, computed once."""
+        return orthonormal_complement(self.u_star)
 
     @property
     def sigma_star(self) -> np.ndarray:

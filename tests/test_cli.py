@@ -319,6 +319,24 @@ def test_noise_that_overflows_y_exits_1_in_one_line(tmp_path, capsys, flags):
     assert capsys.readouterr().err == "runtime error: loss inf is not finite at iteration 0\n"
 
 
+@pytest.mark.parametrize("kappa", ["1e200", "1e300"])
+@pytest.mark.parametrize("algorithm", ["gd", "scaled-gd-lambda", "prec-gd"])
+def test_diagnostics_with_underflowing_sigma_min_raise_no_warning(tmp_path, capsys,
+                                                                 algorithm, kappa):
+    # sigma_min^2 = 1/kappa^2 underflows to 0, so Gamma overflows (and, with
+    # no lambda, the scaled block divides by 0): the metrics read inf or nan,
+    # and numpy warns of nothing
+    out = str(tmp_path / "k.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--algorithm", algorithm, "--n", "10", "--r-star", "2",
+                     "--r", "3", "--kappa", kappa, "--patience", "5", "--diagnostics",
+                     "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    gamma = TRAJECTORY_COLUMNS.index("gamma_norm")
+    assert all(row[gamma] in ("inf", "nan") for row in _read_csv(out)[1:])
+
+
 @pytest.mark.parametrize("frac", ["-0.05", "0"])
 def test_damping_frac_not_positive_exits_2_before_any_build(tmp_path, monkeypatch,
                                                            capsys, frac):
@@ -527,12 +545,28 @@ def test_sweep_config_unknown_preset(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert "unknown preset 'bogus'" in capsys.readouterr().err
+    # `--preset NAME` is that config line, an empty NAME too
+    for name in ("bogus", ""):
+        assert main(["sweep", "--preset", name, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad sweep configuration: unknown preset {name!r}; choose from ")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
-def test_sweep_rejects_zero_trials(tmp_path, capsys):
-    assert main(["sweep", "--preset", "ci-small", "--trials", "0",
-                 "--out", str(tmp_path / "s.csv")]) == 2
-    assert "trials must be >= 1" in capsys.readouterr().err
+def test_sweep_rejects_zero_trials(tmp_path, monkeypatch, capsys):
+    # `--preset NAME` is the config line `preset = NAME`: the flag and the
+    # file take one path, so they fail alike, before any build
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr("scaledgd.experiments.gaussian_operator", no_build)
+    out = tmp_path / "s.csv"
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("preset = ci-small\ntrials = 0\n")
+    for args in (["--preset", "ci-small", "--trials", "0"], ["--config", str(cfg)]):
+        assert main(["sweep", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: bad sweep configuration: trials must be >= 1\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_bad_tuple_value_names_its_key(tmp_path, capsys):

@@ -197,6 +197,11 @@ def test_exact_parameterization_no_overparam_block():
     assert dec.o_tilde.shape == (5, 0)
     metrics = phase_metrics(dec, lam=0.1)
     assert metrics.overparam_norm == 0.0
+    # the empty surplus block adds a zero n x r matrix to the reassembly
+    stack = np.stack([x, 2.0 * x])
+    for xs in (x, stack):
+        assert np.linalg.norm(decompose_iterate(xs, gt).reconstruct() - xs) \
+            <= 1e-10 * np.linalg.norm(xs)
 
 
 def test_gamma_norm_scaled_truth():

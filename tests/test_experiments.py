@@ -180,6 +180,33 @@ def test_wrong_axis_dispatch():
         sweep_condition_number(noise_spec)
 
 
+# per sweep_* wrapper, a spec of its axis at tiny settings
+_TINY_SWEEPS = {
+    "sweep_condition_number": _tiny_kappa_spec(trials=1, max_iters=200, gd_max_iters=200),
+    "sweep_init_scale": SweepSpec(axis="alpha", values=(1e-10, 1e-6), n=12, r_star=2, r=3,
+                                  target_rel_err=None, patience=20, max_iters=200,
+                                  trials=1),
+    "sweep_overparam_rank": SweepSpec(axis="rank_r", values=(2, 3), n=12, r_star=2,
+                                      target_rel_err=1e-5, max_iters=200, trials=1),
+    "sweep_noise": SweepSpec(axis="noise_sigma", values=(1e-3,), n=12, r_star=2, r=3,
+                             target_rel_err=None, patience=20, max_iters=200, trials=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_SWEEPS))
+def test_sweep_paths_give_the_same_rows(name):
+    # run_sweep, the axis's sweep_* and sweep_rows are one path: equal rows
+    # bar the timing column
+    spec = _TINY_SWEEPS[name]
+
+    def untimed(rows):
+        return [replace(row, wall_ms=0.0) for row in rows]
+    rows = untimed(run_sweep(spec))
+    assert rows and all(np.isfinite(row.final_rel_err_fro) for row in rows)
+    assert untimed(getattr(experiments, name)(spec)) == rows
+    assert untimed(experiments.sweep_rows(spec)) == rows
+
+
 def test_emit_csv_sweep_roundtrip(tmp_path):
     records = run_sweep(_tiny_kappa_spec(trials=1))
     path = tmp_path / "sweep.csv"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from scaledgd import problem
 from scaledgd.linalg import orthonormal_complement
 from scaledgd.problem import (GroundTruth, dense_m_star, make_approx_truth,
                               make_ground_truth)
@@ -125,18 +124,3 @@ def test_u_perp_is_the_cached_complement():
     at = make_approx_truth(9, 3, 2, tail_decay=0.5, seed=4)
     assert np.array_equal(at.frame[:, 3:], gt.u_perp)
     assert np.array_equal(at.u_perp, gt.u_perp)
-
-
-def test_approx_truth_takes_u_perp_from_its_frame(monkeypatch):
-    # an n x n frame's tail is U*perp: the truth and its u_perp make one
-    # complement QR, the base truth's, between them
-    calls = []
-
-    def counting(u):
-        calls.append(u.shape)
-        return orthonormal_complement(u)
-    monkeypatch.setattr(problem, "orthonormal_complement", counting)
-    at = make_approx_truth(12, 3, 2.0, 0.1, seed=1)
-    u_perp = at.u_perp
-    assert calls == [(12, 3)]
-    assert u_perp.tobytes() == at.frame[:, 3:].tobytes()
