@@ -35,6 +35,7 @@ _BLOCK_BYTES = 256 << 10  # uniforms of one block of rows in the dense build
 _BUILD_THREADS_CAP = 8
 _RIP_EIGS_PAD = 1e-300  # keep trial eigenvalues away from exact zero
 _RIP_CHUNK = 64  # trial matrices per stacked forward pass
+_kept = {}  # {(n, m, seed): operator} of the last Gaussian build
 
 
 class MemoryCapError(MemoryError):
@@ -46,7 +47,8 @@ class SensingOperator:
 
     A dense operator's rows are `storage` (m x n(n+1)/2); without storage it
     is the identity in svec coordinates.  Instances are immutable after
-    construction and safe for concurrent use; `storage` is made read-only.
+    construction and safe for concurrent use; `storage` and the index arrays
+    are made read-only.
     """
 
     def __init__(self, n: int, m: int, seed: int = 0,
@@ -54,14 +56,15 @@ class SensingOperator:
         self.n = n
         self.m = m
         self.seed = seed
-        if storage is not None:
-            storage.flags.writeable = False
         self._storage = storage
         self._iu = np.triu_indices(n)
         self._scale = np.where(self._iu[0] == self._iu[1], 1.0, np.sqrt(2.0))
         self.dim = self._scale.size  # n(n+1)/2
         self._full = np.empty((n, n), dtype=np.intp)  # svec index of entry (i, j)
         self._full[self._iu] = self._full[self._iu[::-1]] = np.arange(self.dim)
+        for arr in (storage, *self._iu, self._scale, self._full):
+            if arr is not None:
+                arr.flags.writeable = False
 
     # -- svec coordinates ---------------------------------------------------
 
@@ -130,7 +133,16 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
     have stopped.  No setting changes this, and no row depends on the
     thread count.  An operator past MEMORY_CAP_BYTES is refused before any
     allocation.
+
+    The last operator built is kept: a call with equal (n, m, seed) returns
+    that same read-only object, as a scan over kappa on one seed asks for.
+    Any other call drops it first, so a process never holds a second operator
+    for this, and one that raises leaves none kept.
     """
+    kept = _kept.get((n, m, seed))
+    if kept is not None:
+        return kept
+    _kept.clear()  # freed before this build allocates, unless a caller holds it
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
@@ -169,7 +181,8 @@ def gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
         thread.join()
     if errors:
         raise errors[0]
-    return SensingOperator(n, m, seed, storage)
+    op = _kept[n, m, seed] = SensingOperator(n, m, seed, storage)
+    return op
 
 
 def identity_operator(n: int) -> SensingOperator:

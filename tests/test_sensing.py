@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,15 @@ from scaledgd import rng, sensing
 from scaledgd.problem import dense_m_star, make_ground_truth
 from scaledgd.sensing import (MemoryCapError, SensingOperator, estimate_rip_constant,
                               gaussian_operator, identity_operator, measure)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_operator():
+    # each test builds its own operators, so every blocked-build test runs the
+    # threaded build even where another test used the same (n, m, seed)
+    sensing._kept.clear()
+    yield
+    sensing._kept.clear()
 
 
 def _rand_sym(gen, n):
@@ -175,14 +186,14 @@ def test_blocked_build_makes_one_generator_per_worker(monkeypatch):
 
 @pytest.mark.parametrize("cpus, cap, most", [(64, 3, 3), (2, 8, 2), (1, 8, 1)])
 def test_blocked_build_thread_bound(monkeypatch, cpus, cap, most):
-    # at most min(CPUs, cap) threads work, the calling thread included,
-    # though 20 blocks would allow more
+    # min(CPUs, cap) threads work, the calling thread included, though 20
+    # blocks would allow more
     assert sensing._BUILD_THREADS_CAP <= 8
     _cpus(monkeypatch, cpus)
     monkeypatch.setattr(sensing, "_BUILD_THREADS_CAP", cap)
     started = _count_started_threads(monkeypatch)
     op = gaussian_operator(150, 40, seed=5)
-    assert 1 + len(started) <= most
+    assert 1 + len(started) == most
     for i in (0, 1, 38, 39):
         assert np.array_equal(op._storage[i], op.row_svec(i))
 
@@ -197,8 +208,9 @@ def test_forward_trace_example():
 
 
 def test_built_operator_is_read_only():
-    # writing into a built operator, or into the storage a hand-made one was
-    # given, raises
+    # writing into a built operator, into the storage a hand-made one was
+    # given, or into any operator's index arrays raises: one operator is
+    # shared by every caller of its (n, m, seed)
     op = gaussian_operator(3, 4, seed=0)
     with pytest.raises(ValueError, match="read-only"):
         op._storage[0] = 0.0
@@ -206,6 +218,48 @@ def test_built_operator_is_read_only():
     SensingOperator(2, 1, storage=storage)
     with pytest.raises(ValueError, match="read-only"):
         storage[0, 0] = 1.0
+    for each in (op, identity_operator(3)):
+        for arr in (*each._iu, each._scale, each._full):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
+def test_repeated_build_returns_the_kept_operator():
+    op = gaussian_operator(6, 30, seed=9)
+    assert gaussian_operator(6, 30, seed=9) is op
+    assert gaussian_operator(np.int64(6), np.int64(30), np.int64(9)) is op
+    assert gaussian_operator(6, 30, seed=10) is not op
+    again = gaussian_operator(6, 30, seed=9)
+    assert again is not op
+    assert again._storage.tobytes() == op._storage.tobytes()
+
+
+def test_other_build_frees_the_kept_operator():
+    # once its callers drop it, the kept operator goes with the next other build
+    ref = weakref.ref(gaussian_operator(5, 20, seed=1))
+    gc.collect()
+    assert ref() is not None  # kept, though no caller holds it
+    other = gaussian_operator(5, 20, seed=2)
+    gc.collect()
+    assert ref() is None
+    assert gaussian_operator(5, 20, seed=2) is other
+
+
+def test_failed_build_keeps_nothing(monkeypatch):
+    op = gaussian_operator(4, 60, seed=1)
+    ref = weakref.ref(op)
+    monkeypatch.setattr(rng, "_rekey", lambda gen, seed, stream: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        gaussian_operator(4, 60, seed=2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gaussian_operator(0, 60, seed=1)
+    assert sensing._kept == {}
+    monkeypatch.undo()
+    rebuilt = gaussian_operator(4, 60, seed=1)
+    assert rebuilt is not op and rebuilt._storage.tobytes() == op._storage.tobytes()
+    del op
+    gc.collect()
+    assert ref() is None
 
 
 def test_forward_linearity():
