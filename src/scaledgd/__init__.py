@@ -14,7 +14,8 @@ from .solver import (ALGORITHMS, DampingEstimate, IterateState, SolverConfig,
                      run_batch, spectral_init, step_gd, step_prec_gd,
                      step_scaled_gd, step_scaled_gd_lambda)
 from .diagnostics import (IterateDecomposition, PhaseMetrics, decompose_iterate,
-                          orthonormal_complement, phase_metrics, rel_err_op)
+                          phase_metrics, rel_err_op)
+from .linalg import orthonormal_complement
 from .experiments import (ExperimentRecord, PRESETS, SweepSpec, emit_csv,
                           fit_loglog_slope, minimax_reference, preset_spec,
                           run_sweep, sweep_condition_number, sweep_init_scale,

@@ -5,11 +5,11 @@ blocks:
 
     X = U* S~ V^T  +  U*perp N~ V^T  +  U*perp O~ Vperp^T
 
-where S = U*^T X has thin SVD U Sigma V^T, S~ = S V (signal), N~ = (U*perp^T X) V
-(misalignment) and O~ = (U*perp^T X) Vperp (surplus-rank component).  U*perp is
-the truth's cached `u_perp`, so it is computed once per truth.  The scalar
-metrics derived from the blocks track which phase of the run the iterate is in.
-V's column signs are whatever the SVD returns: neither the metrics nor the
+where S = U*^T X has the SVD U Sigma [V | Vperp]^T, so one SVD gives V, Vperp,
+U and Sigma: S~ = S V = U Sigma (signal), N~ = (U*perp^T X) V (misalignment) and
+O~ = (U*perp^T X) Vperp (surplus-rank component).  U*perp is the truth's cached
+`u_perp`.  The scalar metrics derived from the blocks track the run's phase.
+The singular vectors' signs are the SVD's: neither the metrics nor the
 reassembled X depend on them.  Each function also takes a stack of iterates.
 """
 
@@ -19,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import orthonormal_complement
 from .problem import GroundTruth
 
 
 @dataclass(frozen=True)
 class IterateDecomposition:
-    s_tilde: np.ndarray   # r* x r*
+    s_tilde: np.ndarray   # r* x r*, S V
     n_tilde: np.ndarray   # (n - r*) x r*
     o_tilde: np.ndarray   # (n - r*) x (r - r*)
     v: np.ndarray         # r x r*
     v_perp: np.ndarray    # r x (r - r*)
+    u: np.ndarray         # r* x r*, S's left singular vectors
+    sv: np.ndarray        # r*, Sigma's diagonal, non-increasing
     truth: GroundTruth
 
     def reconstruct(self) -> np.ndarray:
@@ -54,21 +55,20 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 def decompose_iterate(x: np.ndarray, gt: GroundTruth) -> IterateDecomposition:
     """Split an iterate into signal / misalignment / overparameterization blocks."""
-    s = gt.u_star.T @ x                    # r* x r
-    n_blk = gt.u_perp.T @ x                # (n - r*) x r
-    v = _t(np.linalg.svd(s, full_matrices=False)[2])  # r x r*
-    v_perp = orthonormal_complement(v)     # r x (r - r*)
+    s, n_blk = gt.u_star.T @ x, gt.u_perp.T @ x  # r* x r, (n - r*) x r
+    u, sv, vt = np.linalg.svd(s)
+    v, v_perp = _t(vt[..., :gt.r_star, :]), _t(vt[..., gt.r_star:, :])
     return IterateDecomposition(
         s_tilde=s @ v, n_tilde=n_blk @ v, o_tilde=n_blk @ v_perp,
-        v=v, v_perp=v_perp, truth=gt)
+        v=v, v_perp=v_perp, u=u, sv=sv, truth=gt)
 
 
 def phase_metrics(dec: IterateDecomposition, lam: float) -> PhaseMetrics | list[PhaseMetrics]:
     """The PhaseMetrics of a decomposition against its truth, or a list of
-    them for a stacked one.  A singular S~ is swapped for the identity before
-    the solve, which would raise on it, and gets an infinite misalign.  A
-    sigma_min^2 that underflows makes Gamma (and, at lam = 0, the scaled
-    block) inf, and the metrics read inf or nan."""
+    them for a stacked one.  N~ S~^{-1} is (N~ Sigma^{-1}) U^T; a singular S~
+    gets an infinite misalign, and its Sigma is swapped for ones so that the
+    division stays finite.  A sigma_min^2 that underflows makes Gamma (and, at
+    lam = 0, the scaled block) inf, and the metrics read inf or nan."""
     sigma = dec.truth.sigma_star
     s_tilde = dec.s_tilde
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -76,10 +76,8 @@ def phase_metrics(dec: IterateDecomposition, lam: float) -> PhaseMetrics | list[
         gamma = (s_tilde @ _t(s_tilde) - np.diag(sigma**2)) / sigma[:, None] / sigma[None, :]
     sigma_min_scaled = np.linalg.svd(scaled, compute_uv=False)[..., -1]
 
-    sv = np.linalg.svd(s_tilde, compute_uv=False)
-    singular = sv[..., -1] <= sv[..., 0] * np.finfo(float).eps * max(s_tilde.shape[-2:])
-    safe = np.where(singular[..., None, None], np.eye(*s_tilde.shape[-2:]), s_tilde)
-    z = _t(np.linalg.solve(_t(safe), _t(dec.n_tilde)))  # N~ S~^{-1}
+    singular = dec.sv[..., -1] <= dec.sv[..., 0] * np.finfo(float).eps * dec.sv.shape[-1]
+    z = (dec.n_tilde / np.where(singular[..., None], 1.0, dec.sv)[..., None, :]) @ _t(dec.u)
     misalign = np.where(singular, np.inf, np.linalg.norm(z * sigma, 2, axis=(-2, -1)))
 
     gamma_norm = np.linalg.norm(gamma, 2, axis=(-2, -1))

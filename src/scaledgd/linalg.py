@@ -8,19 +8,18 @@ import numpy as np
 def orthonormal_complement(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of the column span of `u`.
 
-    `u` must be n x k with orthonormal columns, or a stack of such frames.
-    Returns n x (n - k), stacked as `u`, such that [u | result] is orthonormal.
-    Deterministic given `u`: the last n - k columns of Q in a full QR of [u | I].
+    `u` must be n x k with orthonormal columns.  Returns n x (n - k) such that
+    [u | result] is orthonormal.  Deterministic given `u`: the last n - k
+    columns of Q in a full QR of [u | I].
     """
-    *lead, n, k = u.shape
-    gram_err = np.abs(np.swapaxes(u, -1, -2) @ u - np.eye(k)).max() if k else 0.0
+    n, k = u.shape
+    gram_err = np.abs(u.T @ u - np.eye(k)).max() if k else 0.0
     if gram_err > 1e-10:
         raise ValueError("input columns are not orthonormal (or rank deficient)")
-    eye = np.broadcast_to(np.eye(n), (*lead, n, n))
-    q, _ = np.linalg.qr(np.concatenate([u, eye], axis=-1), mode="complete")
-    comp = q[..., k:n]
+    q, _ = np.linalg.qr(np.hstack([u, np.eye(n)]), mode="complete")
+    comp = q[:, k:n]
     # project out residual leakage onto span(u) from rounding
-    comp = comp - u @ (np.swapaxes(u, -1, -2) @ comp)
+    comp = comp - u @ (u.T @ comp)
     comp, _ = np.linalg.qr(comp)
     return comp
 

@@ -124,16 +124,16 @@ def test_approx_truth_runs_with_diagnostics():
 
 
 def test_metrics_and_reassembly_ignore_the_signs_of_v():
-    # V's column signs are the SVD's.  Negating columns of V, with the columns
-    # of S~ and N~ they set (and of Vperp with O~), leaves every phase metric
-    # and the reassembled X as they were
+    # the singular vectors' signs are the SVD's.  Negating columns of V, with
+    # the columns of U, S~ and N~ they set (and of Vperp with O~), leaves every
+    # phase metric and the reassembled X as they were
     gt = make_ground_truth(15, 3, 3, seed=3)
     x = np.random.default_rng(3).normal(size=(15, 5))
     dec = decompose_iterate(x, gt)
     for signs in itertools.product((1.0, -1.0), repeat=3):
         flips = np.array(signs)
-        flipped = replace(dec, v=dec.v * flips, s_tilde=dec.s_tilde * flips,
-                          n_tilde=dec.n_tilde * flips,
+        flipped = replace(dec, v=dec.v * flips, u=dec.u * flips,
+                          s_tilde=dec.s_tilde * flips, n_tilde=dec.n_tilde * flips,
                           v_perp=dec.v_perp * flips[:2], o_tilde=dec.o_tilde * flips[:2])
         for lam in (0.0, 0.1):
             want = astuple(phase_metrics(dec, lam))
@@ -174,8 +174,7 @@ def test_decomposition_reassembles():
 
 
 def test_decomposition_block_invariants():
-    # metrics do not depend on which orthonormal complement is used
-    # internally; check the V frame is orthonormal and blocks are consistent
+    # the V frame is orthonormal and the blocks are consistent
     gt = make_ground_truth(10, 2, 2, seed=6)
     x = np.random.default_rng(7).normal(size=(10, 4))
     dec = decompose_iterate(x, gt)
@@ -292,14 +291,28 @@ def test_stacked_diagnostics_match_one_iterate_at_a_time():
     assert [np.isinf(m.misalign) for m in stacked] == [False, False, True, False, False]
     for i, x in enumerate(xs):
         dec = decompose_iterate(x, gt)
-        for name in ("s_tilde", "n_tilde", "o_tilde", "v", "v_perp"):
+        for name in ("s_tilde", "n_tilde", "o_tilde", "v", "v_perp", "u", "sv"):
             assert np.array_equal(getattr(stacked_dec, name)[i], getattr(dec, name))
         want = phase_metrics(dec, 0.05)
         assert stacked[i] == want
     approx = make_approx_truth(12, 3, 4.0, 0.5, seed=41)
     for truth in (gt, approx):
         assert rel_err_op(xs, truth).tolist() == [rel_err_op(x, truth) for x in xs]
-    frames = np.linalg.qr(xs)[0]
-    stacked_comp = orthonormal_complement(frames)
-    for frame, comp in zip(frames, stacked_comp):
-        assert np.array_equal(comp, orthonormal_complement(frame))
+
+
+def test_one_svd_splits_the_row_space_of_s():
+    # S = U*^T X of rank 0, 1 and r* = 3 in one stack: [V | Vperp] is
+    # orthogonal, and S vanishes on Vperp up to rounding.  With U* the first
+    # three axes, S is X's first three rows exactly
+    gen = np.random.default_rng(42)
+    gt = GroundTruth(r_star=3, frame=np.eye(14)[:, :3], scales=np.array([1.0, 0.5, 0.25]))
+    xs = gen.normal(size=(3, 14, 5))
+    xs[0, :3] = 0.0
+    xs[1, :3] = np.outer([1.0, -2.0, 0.5], xs[1, 0])
+    dec = decompose_iterate(xs, gt)
+    s = xs[:, :3]
+    assert [np.linalg.matrix_rank(si) for si in s] == [0, 1, 3]
+    for si, v, v_perp in zip(s, dec.v, dec.v_perp):
+        frame = np.hstack([v, v_perp])
+        assert np.abs(frame.T @ frame - np.eye(5)).max() <= 1e-14
+        assert np.linalg.norm(si @ v_perp, 2) <= 1e-14 * np.linalg.norm(si, 2)

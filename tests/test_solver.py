@@ -137,8 +137,8 @@ def test_stop_at_truth_immediately():
 
 
 def test_batch_diagnostics_take_one_complement_of_u_star(monkeypatch):
-    # four diagnostic runs on one truth share its U*perp; the complements of
-    # each record's V (r x r*) are the only other calls
+    # four diagnostic runs on one truth share its U*perp, and the records'
+    # decompositions take no complement of their own
     real = linalg.orthonormal_complement
     shapes = []
 
@@ -155,7 +155,7 @@ def test_batch_diagnostics_take_one_complement_of_u_star(monkeypatch):
                             max_iters=5, seed_init=seed) for seed in range(4)]
     trajs = run_batch(op, y, configs, oracle=gt, collect_diagnostics=True)
     assert all(rec.metrics is not None for traj in trajs for rec in traj.records)
-    assert shapes.count(gt.u_star.shape) == 1
+    assert shapes == [gt.u_star.shape]
 
 
 def test_target_stop_needs_oracle():
